@@ -36,7 +36,14 @@ from .convex import (
     contains,
     project,
 )
-from .errors import CurvatureError, InputError, NonConvergent, SolverError
+from .errors import (
+    CCKitError,
+    CurvatureError,
+    DomainError,
+    InputError,
+    NonConvergent,
+    SolverError,
+)
 from .expr import Expression
 from .functionals import (
     LinearFunctional,
@@ -161,7 +168,7 @@ def certificate_net(rep: ConvexSetRep, cap: int = 4096) -> list:
                 for cand in certificate_net(part, cap):
                     try:
                         pts.append(rep._project(cand, 1e-10))
-                    except Exception:
+                    except CCKitError:
                         continue
         return pts
     raise InputError("no certificate net for unbounded representations")
@@ -290,7 +297,7 @@ def _affine_minorant_pointwise(functional: PointwiseFunctional):
         try:
             phi_lo = functional.scalar(lo)
             phi_hi = functional.scalar(hi)
-        except Exception:
+        except DomainError:
             continue
         delta = (phi_hi - phi_lo) / (hi - lo)
         if delta <= 1e-12:
@@ -315,7 +322,7 @@ def _minorant_holds_on_grid(functional, D: float, delta: float) -> bool:
     for x in grid:
         try:
             phi = functional.scalar(x)
-        except Exception:
+        except DomainError:
             continue
         if D + delta * x > phi + 1e-12 * (1.0 + abs(phi)):
             return False

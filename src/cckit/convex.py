@@ -8,10 +8,11 @@ norm (probability-weighted coordinates):
 * ``Sublevel``    -- {f >= 0 : G(f) <= level} for a declared-convex G;
 * ``Intersection``-- finite intersections of the above.
 
-Membership semantics per representation: Polytope by a feasibility
-program over the weight simplex (active-set least squares, deterministic
-lowest-index tie-breaks), Sublevel by evaluating the functional, Box and
-Intersection componentwise. Projections: exact clamp for boxes, the
+Membership semantics per representation: Polytope by an exact match
+against a generator, else by a feasibility program over the weight
+simplex (active-set least squares, deterministic lowest-index
+tie-breaks), Sublevel by evaluating the functional, Box and Intersection
+componentwise. Projections: exact clamp for boxes, the
 simplex program for polytopes, closed-form halfspace or multiplier
 bisection for sublevel sets, and Dykstra's alternating scheme for
 intersections. Iterative routines fail loudly on budget exhaustion.
@@ -127,6 +128,9 @@ class Polytope(ConvexSetRep):
         return WeightVector(w), dist
 
     def _contains(self, f, tol):
+        # a generator sits at distance 0 <= tol: no program to solve
+        if np.any(np.all(self._cols == f.values[:, None], axis=0)):
+            return True
         _, dist = self.weights_for(f, tol)
         return dist <= tol
 
@@ -345,19 +349,17 @@ def _simplex_lsq(A: np.ndarray, b: np.ndarray):
                 w[:] = 0.0
                 w[first] = 1.0
             z, lam = kkt_solve(passive)
-        for j, idx in enumerate(passive):
-            w[idx] = max(z[j], 0.0)
-        for idx in range(k):
-            if idx not in passive:
-                w[idx] = 0.0
+        in_passive = np.zeros(k, dtype=bool)
+        in_passive[passive] = True
+        w[passive] = np.where(z < 0.0, 0.0, z)  # max(z_j, 0.0): keeps a -0.0
+        w[~in_passive] = 0.0
         s = w.sum()
         if s > 0:
             w = w / s
         grad = A.T @ (A @ w - b)
         lam_now = float(np.dot(w, grad))
         slack = lam_now - grad  # positive where adding idx would improve
-        for idx in passive:
-            slack[idx] = -np.inf
+        slack[in_passive] = -np.inf
         best = int(np.argmax(slack))
         if slack[best] <= SIMPLEX_QP_DUAL_TOL * scale * scale:
             res = float(np.linalg.norm(A @ w - b))

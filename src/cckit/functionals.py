@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import CurvatureError, InputError
+from .errors import CurvatureError, DomainError, InputError
 from .expr import Expression
 from .measure import ProbSpace, RandVar
 
@@ -161,7 +161,7 @@ class PointwiseFunctional:
             try:
                 fa, fb = self.scalar(float(a)), self.scalar(float(b))
                 fm = self.scalar(0.5 * (float(a) + float(b)))
-            except Exception:
+            except DomainError:
                 continue
             checked += 1
             if fm > 0.5 * (fa + fb) + 1e-9 * (1.0 + abs(fa) + abs(fb)):

@@ -106,6 +106,52 @@ class TestPolytope:
             assert norm(f - cand) >= best - 1e-9
 
 
+class TestPolytopeMembershipDifferential:
+    """The generator-match fast path in ``contains`` against the weight
+    program it skips: ``poly.weights_for(f)[1] <= tol`` is the reference."""
+
+    @staticmethod
+    def random_polytope(rng, n):
+        k = int(rng.integers(1, 9))
+        vals = rng.uniform(0.0, 3.0, size=(k, n))
+        vals[rng.random((k, n)) < 0.25] = 0.0
+        # signed zeros compare equal to 0.0 and must stay members
+        vals[rng.random((k, n)) < 0.25] = -0.0
+        gens = [RandVar(ProbSpace.uniform(n), row) for row in vals]
+        # duplicated generators
+        gens += [gens[int(j)] for j in rng.integers(0, k, size=int(rng.integers(0, 3)))]
+        return Polytope(gens)
+
+    def test_every_generator_contained_at_zero_tol(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            poly = self.random_polytope(rng, int(rng.integers(1, 6)))
+            for g in poly.generators:
+                assert contains(poly, g, 0.0)
+                # a copy with every zero flipped in sign is the same point
+                flipped = RandVar(poly.space, np.where(g.values == 0.0, -g.values, g.values))
+                assert contains(poly, flipped, 0.0)
+                assert poly.weights_for(g)[1] <= 0.0
+
+    def test_agrees_with_the_weight_program(self):
+        rng = np.random.default_rng(31)
+        checked_in = checked_out = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            poly = self.random_polytope(rng, n)
+            k = len(poly.generators)
+            inside = convex_combine(poly.generators, WeightVector(rng.dirichlet(np.ones(k))))
+            outside = RandVar(poly.space, inside.values + rng.uniform(0.1, 2.0, size=n))
+            for f in (inside, outside):
+                for tol in (0.0, 1e-12, 1e-9, 1e-3, 0.5):
+                    expected = poly.weights_for(f)[1] <= tol
+                    assert contains(poly, f, tol) == expected
+                    checked_in += expected
+                    checked_out += not expected
+        # both verdicts are exercised
+        assert checked_in > 100 and checked_out > 100
+
+
 class TestBox:
     def test_contains_and_project(self):
         sp = uspace(2)

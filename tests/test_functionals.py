@@ -146,6 +146,18 @@ class TestPointwise:
         with pytest.raises(InputError):
             PointwiseFunctional(U2, "log(0 - x)")
 
+    def test_scan_lets_non_domain_errors_through(self, monkeypatch):
+        # only DomainError marks a pair as a domain hole; anything else is
+        # a fault and must not be skipped as one
+        G = PointwiseFunctional(U2, "x^2", declared_convex=False)
+
+        def broken(x):
+            raise RuntimeError("not a domain hole")
+
+        monkeypatch.setattr(G, "scalar", broken)
+        with pytest.raises(RuntimeError):
+            G._midpoint_scan()
+
 
 class TestCodec:
     def _check_round_trip(self, G, points):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cckit.convex
 from cckit import (
     InputError,
     NonConvergent,
@@ -233,6 +234,26 @@ class TestExtractBounded:
         # ambient set missing some terms
         with pytest.raises(InputError):
             extract(s, Polytope([rv(U2, [1.0, 0.0])]), tol=1e-6)
+
+    def test_default_ambient_solves_one_weight_program(self, monkeypatch):
+        # every term generates the ambient set, so the per-term precondition
+        # needs no weight program; only the limit's membership check runs one
+        calls = []
+        real = cckit.convex._simplex_lsq
+
+        def counting(A, b):
+            calls.append(A.shape)
+            return real(A, b)
+
+        monkeypatch.setattr(cckit.convex, "_simplex_lsq", counting)
+        rng = np.random.default_rng(5)
+        space = ProbSpace.uniform(4)
+        palette = rng.uniform(0.0, 2.0, size=(3, space.n))
+        s = seq_from_values(space, [palette[n % 3] for n in range(512)])
+        amb = ambient_for(s)
+        limit, _ = extract(s, amb, tol=1e-6)
+        assert len(calls) <= 1
+        assert contains(amb, limit, 2e-6)
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
