@@ -6,7 +6,10 @@ Phi is concave in f and convex in g. ``solve_saddle`` runs an
 extragradient scheme; when both sets are polytopes and the payoff is
 purely bilinear it works in generator-weight space where the duality
 gap of a candidate pair is computable exactly from the generators, and
-a support-equalization polish usually lands on the saddle itself.
+a support-equalization polish usually lands on the saddle itself. The
+exact gap is checked after rounds of 256, 512, 1024, ... iterations, and
+the first candidate within tol is returned, so an easy game stops after a
+few hundred iterations.
 
 ``build_G_family`` encodes, for chosen pairs (f, g), the sets
 
@@ -59,11 +62,21 @@ __all__ = [
 
 _SPOT_SEED = 20240904
 
-#: extragradient iterations in the first round; each retry doubles
-EG_START_ITERS = 10_000
+#: matrix games: extragradient iterations in the first round; each round
+#: doubles the count and ends with the support polish and the exact
+#: generator gap check, so an easy game stops after a few hundred
+EG_START_ITERS = 256
 
-#: rounds of doubling before giving up
-EG_MAX_ROUNDS = 7
+#: matrix games: rounds before giving up, 256 * (2**13 - 1) ~ 2.1M
+#: iterations in all
+EG_MAX_ROUNDS = 13
+
+#: projected path: iterations in the first round; each retry doubles
+DIRECT_START_ITERS = 2_000
+
+#: projected path: rounds before giving up; each round's gap check is two
+#: certified minimizations
+DIRECT_MAX_ROUNDS = 7
 
 
 def _scan_scalar_curvature(expr: Expression, want: str, hi: float):
@@ -294,27 +307,18 @@ def _support_polish(M, u, w, thresh: float = 1e-6):
     if su.size == 0 or sw.size == 0:
         return None
     a, b = su.size, sw.size
-    # unknowns: u[su], w[sw], v
-    n_un = a + b + 1
-    rows = []
-    rhs = []
-    for j in sw:                     # (M^T u)_j = v
-        row = np.zeros(n_un)
-        row[:a] = M[su, j]
-        row[a + b] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for i in su:                     # (M w)_i = v
-        row = np.zeros(n_un)
-        row[a:a + b] = M[i, sw]
-        row[a + b] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    row = np.zeros(n_un); row[:a] = 1.0
-    rows.append(row); rhs.append(1.0)
-    row = np.zeros(n_un); row[a:a + b] = 1.0
-    rows.append(row); rhs.append(1.0)
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    # unknowns: u[su], w[sw], v; rows: (M^T u)_j = v for j in sw,
+    # (M w)_i = v for i in su, then sum u = 1 and sum w = 1
+    sub = M[np.ix_(su, sw)]
+    A = np.zeros((a + b + 2, a + b + 1))
+    A[:b, :a] = sub.T
+    A[b:a + b, a:a + b] = sub
+    A[:a + b, a + b] = -1.0
+    A[a + b, :a] = 1.0
+    A[a + b + 1, a:a + b] = 1.0
+    rhs = np.zeros(a + b + 2)
+    rhs[a + b:] = 1.0
+    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     u_new = np.zeros_like(u)
     w_new = np.zeros_like(w)
     u_new[su] = np.clip(sol[:a], 0.0, None)
@@ -401,9 +405,9 @@ def _solve_direct(inst: SaddleInstance, tol: float) -> SaddleCertificate:
     g = inst.D.reference_point()
     proj_tol = min(tol, 1e-9)
     total = 0
-    iters = 2_000
+    iters = DIRECT_START_ITERS
     best = None
-    for _round in range(EG_MAX_ROUNDS):
+    for _round in range(DIRECT_MAX_ROUNDS):
         f_acc = np.zeros(space.n)
         g_acc = np.zeros(space.n)
         kept = 0
@@ -491,16 +495,20 @@ def verify_saddle(inst: SaddleInstance, f0: RandVar, g0: RandVar,
 
     if (isinstance(inst.C, Polytope) and isinstance(inst.D, Polytope)
             and payoff.is_bilinear):
-        worst = -math.inf
-        witness = None
-        for v in inst.C.generators:
-            viol = payoff.value(v, g0) - value
-            if viol > worst:
-                worst, witness = viol, {"side": "f", "point": v}
-        for w in inst.D.generators:
-            viol = value - payoff.value(f0, w)
-            if viol > worst:
-                worst, witness = viol, {"side": "g", "point": w}
+        # Phi(v, g0) for every generator v of C, Phi(f0, w) for every w of D
+        p = inst.space.probs
+        U = np.column_stack([v.values for v in inst.C.generators])
+        W = np.column_stack([w.values for w in inst.D.generators])
+        viol_f = (p[:, None] * U).T @ (payoff.K @ g0.values) - value
+        viol_g = value - W.T @ (payoff.K.T @ (p * f0.values))
+        i, j = int(np.argmax(viol_f)), int(np.argmax(viol_g))
+        # ties go to the first maximum, and to side f over side g
+        if viol_g[j] > viol_f[i]:
+            worst = float(viol_g[j])
+            witness = {"side": "g", "point": inst.D.generators[j]}
+        else:
+            worst = float(viol_f[i])
+            witness = {"side": "f", "point": inst.C.generators[i]}
     else:
         infsup, f_best = _inner_opt(payoff, g0, "f", inst.C, tol)
         supinf, g_best = _inner_opt(payoff, f0, "g", inst.D, tol)

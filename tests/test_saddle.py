@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cckit.saddle as saddle_mod
 from cckit import (
     BilinearPayoff,
     Box,
     CurvatureError,
     InputError,
     KKMInstance,
+    NonConvergent,
     Polytope,
     ProbSpace,
     RandVar,
@@ -39,6 +41,15 @@ SIMPLEX = Polytope([rv([1.0, 0.0]), rv([0.0, 1.0])])
 
 def game(K):
     return SaddleInstance(SIMPLEX, SIMPLEX, BilinearPayoff(U2, K))
+
+
+def basis_game(k, seed):
+    """k-by-k game on the uniform space, both players' sets spanned by the
+    unit basis, kernel drawn from uniform(-1, 1)."""
+    space = ProbSpace.uniform(k)
+    basis = Polytope([RandVar(space, e) for e in np.eye(k)])
+    K = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k, k))
+    return SaddleInstance(basis, basis, BilinearPayoff(space, K))
 
 
 class TestBilinearPayoff:
@@ -148,6 +159,58 @@ class TestSolveSaddle:
         assert cert.supinf - 1e-7 <= cert.value <= cert.infsup + 1e-7
 
 
+class TestMatrixGameSchedule:
+    """The matrix-game path checks the exact gap after every doubling round,
+    starting small; the counts below are deterministic."""
+
+    @pytest.mark.parametrize("k", [3, 10, 30])
+    def test_random_games_stop_within_four_rounds(self, k):
+        for seed in range(6):
+            cert = solve_saddle(basis_game(k, seed), tol=1e-6)
+            assert cert.gap <= 1e-6
+            assert cert.iterations <= 4096
+            assert cert.method == "extragradient+polish"
+
+    def test_budget_exhaustion_reports_the_whole_schedule(self, monkeypatch):
+        monkeypatch.setattr(saddle_mod, "_support_polish", lambda *a, **kw: None)
+        monkeypatch.setattr(saddle_mod, "EG_MAX_ROUNDS", 2)
+        with pytest.raises(NonConvergent) as info:
+            solve_saddle(basis_game(10, 0), tol=1e-9)
+        cert = info.value.certificate
+        schedule = [saddle_mod.EG_START_ITERS * 2 ** r for r in range(2)]
+        assert cert.iterations == sum(schedule)
+        assert cert.gap > 1e-9
+        assert cert.method == "extragradient+polish (best effort)"
+
+
+class TestMatrixGameAgainstLinprog:
+    """Differential check: the certified value is the value of the weighted
+    game diag(p) K, as an LP solver finds it."""
+
+    @staticmethod
+    def _lp_value(A):
+        # max v  s.t.  (A^T u)_j >= v for every column j, u in the simplex
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        a, b = A.shape
+        res = linprog(
+            c=np.r_[np.zeros(a), -1.0],
+            A_ub=np.c_[-A.T, np.ones(b)], b_ub=np.zeros(b),
+            A_eq=np.r_[np.ones(a), 0.0][None, :], b_eq=[1.0],
+            bounds=[(0.0, None)] * a + [(None, None)],
+            method="highs",
+        )
+        assert res.status == 0
+        return -res.fun
+
+    @pytest.mark.parametrize("k", [3, 10, 30])
+    def test_value_matches_linprog(self, k):
+        for seed in range(100, 104):
+            inst = basis_game(k, seed)
+            cert = solve_saddle(inst, tol=1e-9)
+            A = inst.space.probs[:, None] * inst.payoff.K
+            assert cert.value == pytest.approx(self._lp_value(A), abs=1e-7)
+
+
 class TestVerifySaddle:
     def test_accepts_solved_pair(self):
         inst = game([[3.0, -1.0], [-2.0, 1.0]])
@@ -164,6 +227,22 @@ class TestVerifySaddle:
         # sup_f Phi(f, e1) = 0.5, Phi(e0, e1) = -0.5: violation 1
         assert vr.max_violation == pytest.approx(1.0, abs=1e-6)
         assert vr.witness is not None and vr.witness["side"] in ("f", "g")
+
+    def test_witness_is_the_first_worst_generator(self):
+        e0, e1 = rv([1.0, 0.0]), rv([0.0, 1.0])
+        # pennies at (e0, e1): only side f violates, by 1, at e1, which C
+        # lists twice; the first copy is the witness
+        C = Polytope([e0, e1, rv([0.0, 1.0])])
+        inst = SaddleInstance(C, SIMPLEX, BilinearPayoff(U2, [[1.0, -1.0], [-1.0, 1.0]]))
+        vr = verify_saddle(inst, e0, e1, tol=1e-6)
+        assert vr.witness["side"] == "f"
+        assert vr.witness["point"] is C.generators[1]
+        # at (e0, e0) both sides violate by 1: a tie goes to side f
+        inst = SaddleInstance(SIMPLEX, SIMPLEX, BilinearPayoff(U2, [[0.0, -2.0], [2.0, 0.0]]))
+        vr = verify_saddle(inst, e0, e0, tol=1e-6)
+        assert vr.max_violation == pytest.approx(1.0, abs=1e-15)
+        assert vr.witness["side"] == "f"
+        assert vr.witness["point"] is SIMPLEX.generators[1]
 
     def test_infeasible_pair_rejected(self):
         inst = game([[1.0, -1.0], [-1.0, 1.0]])
