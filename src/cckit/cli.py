@@ -11,9 +11,9 @@ emits one JSON document (stdout, or --out): on success a run certificate
 and on failure an error envelope {"schema": 1, "error": {"kind", "message",
 ...}} with exit code 1 for input-side problems and 2 for solver-side ones.
 Output is deterministic byte-for-byte for a fixed instance and flags:
-keys are sorted, the wall clock is reported as null unless --timing asks
-for it, and every sampled check takes its seed from --seed (default
-fixed).
+keys are sorted and the wall clock is reported as null unless --timing
+asks for it. Only ``check`` takes the seed of its samples from --seed
+(default fixed); the solvers' spot checks use fixed per-module seeds.
 
 Set CCKIT_LOG=info or CCKIT_LOG=trace for progress logging on stderr
 (off by default).
@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="write the output JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled checks")
+                       help="seed for the check suites' samples")
         p.add_argument("--timing", action="store_true",
                        help="fill wall_time_ms (breaks byte-determinism)")
 

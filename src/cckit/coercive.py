@@ -34,6 +34,7 @@ from .convex import (
     Polytope,
     Sublevel,
     contains,
+    is_bounded,
     project,
 )
 from .errors import (
@@ -50,8 +51,9 @@ from .functionals import (
     PointwiseFunctional,
     QuadraticFunctional,
     functional_from_json,
+    midpoint_scan,
 )
-from .measure import RandVar, expectation, norm
+from .measure import RandVar
 
 __all__ = [
     "LinearFunctional",
@@ -93,22 +95,14 @@ def check_growth(phi_expr) -> bool:
     return worst > GROWTH_RATIO_FLOOR
 
 
-def lower_contour(functional, level: float, sampler=None) -> Sublevel:
+def lower_contour(functional, level: float) -> Sublevel:
     """The lower-contour set {f >= 0 : G(f) <= level} as a Sublevel rep."""
-    return Sublevel(functional.space, functional, float(level), sampler=sampler)
+    return Sublevel(functional.space, functional, float(level))
 
 
 # ---------------------------------------------------------------------------
 # minimize
 # ---------------------------------------------------------------------------
-
-def _has_bounded_core(rep: ConvexSetRep) -> bool:
-    if isinstance(rep, (Polytope, Box)):
-        return True
-    if isinstance(rep, Intersection):
-        return any(_has_bounded_core(part) for part in rep.parts)
-    return False
-
 
 def _domain_scale(rep: ConvexSetRep) -> float:
     if isinstance(rep, Polytope):
@@ -116,25 +110,9 @@ def _domain_scale(rep: ConvexSetRep) -> float:
     if isinstance(rep, Box):
         return max(1.0, float(np.abs(rep.upper.values).max()))
     if isinstance(rep, Intersection):
-        vals = [_domain_scale(p) for p in rep.parts if _has_bounded_core(p)]
+        vals = [_domain_scale(p) for p in rep.parts if is_bounded(p)]
         return min(vals) if vals else 1.0
     return 1.0
-
-
-def _spot_check_midpoint_convexity(functional, rep: ConvexSetRep):
-    rng = np.random.default_rng(_SPOT_SEED)
-    hi = _domain_scale(rep)
-    space = functional.space
-    for k in range(100):
-        a = RandVar(space, rng.uniform(0.0, hi, size=space.n))
-        b = RandVar(space, rng.uniform(0.0, hi, size=space.n))
-        ga, gb = functional.value(a), functional.value(b)
-        gm = functional.value(0.5 * (a + b))
-        if gm > 0.5 * (ga + gb) + 1e-9 * (1.0 + abs(ga) + abs(gb)):
-            raise CurvatureError(
-                f"objective failed the midpoint convexity spot-check "
-                f"(pair #{k}: G(mid)={gm!r} > avg={0.5 * (ga + gb)!r})"
-            )
 
 
 def certificate_net(rep: ConvexSetRep, cap: int = 4096) -> list:
@@ -164,7 +142,7 @@ def certificate_net(rep: ConvexSetRep, cap: int = 4096) -> list:
     if isinstance(rep, Intersection):
         pts = []
         for part in rep.parts:
-            if _has_bounded_core(part):
+            if is_bounded(part):
                 for cand in certificate_net(part, cap):
                     try:
                         pts.append(rep._project(cand, 1e-10))
@@ -186,11 +164,23 @@ def minimize(functional, C: ConvexSetRep, tol: float):
         raise InputError("tol must be positive and finite")
     if not getattr(functional, "declared_convex", False):
         raise InputError("minimize requires a declared-convex functional")
-    if not _has_bounded_core(C):
+    if not is_bounded(C):
         raise InputError("C must be bounded (polytope or box-intersected)")
     if not functional.space.same(C.space):
         raise InputError("functional and set live on different spaces")
-    _spot_check_midpoint_convexity(functional, C)
+    hi = _domain_scale(C)
+    space = functional.space
+    hit = midpoint_scan(
+        lambda v: functional.value(RandVar(space, v)),
+        lambda rng: rng.uniform(0.0, hi, size=(2, space.n)),
+        _SPOT_SEED,
+    )
+    if hit is not None:
+        k, _, _, ga, gb, gm = hit
+        raise CurvatureError(
+            f"objective failed the midpoint convexity spot-check "
+            f"(pair #{k}: G(mid)={gm!r} > avg={0.5 * (ga + gb)!r})"
+        )
 
     x = _reference(C)
     value = functional.value(x)

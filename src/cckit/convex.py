@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, CurvatureError, InputError, SolverError
-from .measure import ProbSpace, RandVar
+from .functionals import functional_from_json, midpoint_scan
+from .measure import ProbSpace, RandVar, norm, randvar_from_json, randvar_to_json
 
 #: iteration cap for the active-set weight program
 SIMPLEX_QP_CAP = 10_000
@@ -35,9 +36,6 @@ SIMPLEX_QP_DUAL_TOL = 1e-12
 
 #: sweeps allowed to Dykstra's alternating projections
 DYKSTRA_CAP = 5_000
-
-#: sampled pairs for the midpoint convexity spot-check
-CONVEXITY_SPOT_PAIRS = 100
 
 #: fixed seed for sampled validation (solver paths never depend on --seed)
 _SPOT_SEED = 20240901
@@ -95,7 +93,6 @@ class ConvexSetRep:
 
     def distance(self, f: RandVar, tol: float = 1e-9) -> float:
         """Weighted-norm distance from f to the set (via projection)."""
-        from .measure import norm
         return norm(f - self._project(f, tol))
 
 
@@ -173,17 +170,14 @@ class Box(ConvexSetRep):
 class Sublevel(ConvexSetRep):
     """{f >= 0 : G(f) <= level} for a functional G declared convex by the caller.
 
-    Construction spot-checks the midpoint inequality on sampled pairs and
-    refuses the representation when a violation shows up. ``sampler`` maps
-    an integer to a pair of value vectors and defaults to a uniform box;
-    callers restricted to a sub-domain (e.g. a price simplex) pass their
-    own so the check happens where the set will actually be used.
+    Construction spot-checks the midpoint inequality on pairs drawn
+    uniformly from the box [0, 10]^n and refuses the representation when a
+    violation shows up.
     """
 
     kind = "sublevel"
 
-    def __init__(self, space: ProbSpace, functional, level: float, sampler=None,
-                 spot_check: bool = True):
+    def __init__(self, space: ProbSpace, functional, level: float):
         if not math.isfinite(level):
             raise InputError("sublevel needs a finite level")
         if not getattr(functional, "declared_convex", False):
@@ -191,28 +185,17 @@ class Sublevel(ConvexSetRep):
         self.space = space
         self.functional = functional
         self.level = float(level)
-        if spot_check:
-            self._spot_check_convexity(sampler)
-
-    def _spot_check_convexity(self, sampler):
-        rng = np.random.default_rng(_SPOT_SEED)
-        n = self.space.n
-        for k in range(CONVEXITY_SPOT_PAIRS):
-            if sampler is None:
-                a_vals = rng.uniform(0.0, 10.0, size=n)
-                b_vals = rng.uniform(0.0, 10.0, size=n)
-            else:
-                a_vals, b_vals = sampler(rng)
-            a = RandVar(self.space, a_vals)
-            b = RandVar(self.space, b_vals)
-            ga, gb = self.functional.value(a), self.functional.value(b)
-            gm = self.functional.value(0.5 * (a + b))
-            slack = 1e-9 * (1.0 + abs(ga) + abs(gb))
-            if gm > 0.5 * (ga + gb) + slack:
-                raise CurvatureError(
-                    f"midpoint convexity violated on sampled pair #{k}: "
-                    f"G(mid)={gm!r} > avg={0.5 * (ga + gb)!r}"
-                )
+        hit = midpoint_scan(
+            lambda v: functional.value(RandVar(space, v)),
+            lambda rng: rng.uniform(0.0, 10.0, size=(2, space.n)),
+            _SPOT_SEED,
+        )
+        if hit is not None:
+            k, _, _, ga, gb, gm = hit
+            raise CurvatureError(
+                f"midpoint convexity violated on sampled pair #{k}: "
+                f"G(mid)={gm!r} > avg={0.5 * (ga + gb)!r}"
+            )
 
     def _contains(self, f, tol):
         if np.any(f.values < -tol):
@@ -280,6 +263,15 @@ class Intersection(ConvexSetRep):
             if ref is not None:
                 return self._project(ref(), 1e-10)
         raise SolverError("no part exposes a reference point")
+
+
+def is_bounded(rep) -> bool:
+    """True for polytopes, boxes, and intersections with such a part."""
+    if isinstance(rep, (Polytope, Box)):
+        return True
+    if isinstance(rep, Intersection):
+        return any(is_bounded(part) for part in rep.parts)
+    return False
 
 
 def contains(set_rep: ConvexSetRep, f: RandVar, tol: float) -> bool:
@@ -389,9 +381,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _dykstra(parts, f: RandVar, tol: float) -> RandVar:
     """Dykstra's alternating projections onto an intersection."""
-    from .measure import norm
     x = f
-    incs = [None] * len(parts)
     zero = RandVar(f.space, np.zeros(f.space.n))
     incs = [zero] * len(parts)
     for sweep in range(DYKSTRA_CAP):
@@ -466,7 +456,6 @@ def _project_sublevel_bisect(rep: Sublevel, f: RandVar, tol: float) -> RandVar:
 # ---------------------------------------------------------------------------
 
 def set_to_json(rep: ConvexSetRep) -> dict:
-    from .measure import randvar_to_json
     if isinstance(rep, Polytope):
         return {
             "polytope": {
@@ -493,8 +482,6 @@ def set_to_json(rep: ConvexSetRep) -> dict:
 
 
 def set_from_json(space: ProbSpace, obj: dict) -> ConvexSetRep:
-    from .functionals import functional_from_json
-    from .measure import randvar_from_json
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InputError("set JSON must be a single-key object naming the variant")
     (key, body), = obj.items()

@@ -23,7 +23,40 @@ import numpy as np
 
 from .errors import CurvatureError, DomainError, InputError
 from .expr import Expression
-from .measure import ProbSpace, RandVar
+from .measure import ProbSpace, RandVar, randvar_from_json, randvar_to_json
+
+#: a midpoint scan checks SCAN_PAIRS pairs in at most SCAN_DRAWS draws and
+#: wants SCAN_MIN_CHECKED of them where the map is defined
+SCAN_PAIRS, SCAN_DRAWS, SCAN_MIN_CHECKED = 100, 200, 20
+
+
+def midpoint_scan(g, draw, seed: int, skip=()):
+    """Sampled midpoint convexity check of g on the pairs ``a, b = draw(rng)``
+    (floats or arrays), rng seeded with ``seed``: the first (k, a, b, g(a),
+    g(b), g(mid)) with g(mid) > (g(a) + g(b))/2 + 1e-9 (1 + |g(a)| + |g(b)|),
+    k the draw index, or None. Check concavity by passing -g. Pairs where g
+    raises a ``skip`` exception are domain holes, passed over; with fewer
+    than SCAN_MIN_CHECKED checked pairs the last hole is raised.
+    """
+    rng = np.random.default_rng(seed)
+    checked = 0
+    hole = None
+    for k in range(SCAN_DRAWS):
+        a, b = draw(rng)
+        try:
+            ga, gb = g(a), g(b)
+            gm = g(0.5 * (a + b))
+        except skip as exc:
+            hole = exc
+            continue
+        checked += 1
+        if gm > 0.5 * (ga + gb) + 1e-9 * (1.0 + abs(ga) + abs(gb)):
+            return k, a, b, ga, gb, gm
+        if checked >= SCAN_PAIRS:
+            break
+    if checked < SCAN_MIN_CHECKED:
+        raise hole
+    return None
 
 
 class LinearFunctional:
@@ -46,7 +79,6 @@ class LinearFunctional:
         return self.c_values.copy()
 
     def to_json(self) -> dict:
-        from .measure import randvar_to_json
         return {
             "kind": "linear",
             "c": randvar_to_json(RandVar(self.space, self.c_values)),
@@ -102,7 +134,6 @@ class QuadraticFunctional:
         return self.A_values @ f.values + self.b_values
 
     def to_json(self) -> dict:
-        from .measure import randvar_to_json
         return {
             "kind": "quadratic",
             "A": [[float(x) for x in row] for row in self.A_values],
@@ -151,28 +182,20 @@ class PointwiseFunctional:
                 self.convexity_witness = witness
 
     def _midpoint_scan(self):
-        """Sampled midpoint convexity check; returns a violating pair or None.
-        Pairs where the map is undefined are skipped (domain holes are the
-        caller's concern, not curvature evidence)."""
-        rng = np.random.default_rng(20240902)
-        checked = 0
-        for _ in range(200):
-            a, b = rng.uniform(1e-3, 16.0, size=2)
-            try:
-                fa, fb = self.scalar(float(a)), self.scalar(float(b))
-                fm = self.scalar(0.5 * (float(a) + float(b)))
-            except DomainError:
-                continue
-            checked += 1
-            if fm > 0.5 * (fa + fb) + 1e-9 * (1.0 + abs(fa) + abs(fb)):
-                return (float(a), float(b))
-            if checked >= 100:
-                break
-        if checked < 20:
+        """Sampled midpoint convexity check on (0, 16]; returns a violating
+        pair or None. Pairs where the map is undefined are skipped (domain
+        holes are the caller's concern, not curvature evidence)."""
+        try:
+            hit = midpoint_scan(
+                self.scalar,
+                lambda rng: map(float, rng.uniform(1e-3, 16.0, size=2)),
+                20240902, skip=DomainError,
+            )
+        except DomainError:
             raise InputError(
                 "scalar map is undefined on most of the sample domain (0, 16]"
-            )
-        return None
+            ) from None
+        return None if hit is None else hit[1:3]
 
     def scalar(self, x: float) -> float:
         return self.expr.eval({"x": x})
@@ -201,7 +224,6 @@ class PointwiseFunctional:
 
 def functional_from_json(space: ProbSpace, obj: dict):
     """Build a functional from its JSON form (see each class's to_json)."""
-    from .measure import randvar_from_json
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("functional JSON needs a 'kind' field")
     kind = obj["kind"]

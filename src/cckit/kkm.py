@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexSetRep, Box, Intersection, Polytope, contains, project, _dykstra
+from .convex import ConvexSetRep, contains, is_bounded, project, _dykstra
 from .errors import (
     BudgetExceededError,
     EmptyIntersection,
@@ -423,12 +423,15 @@ def locate_complete_cell(inst: KKMInstance, q: int, steps: list):
 
 def _distance_to(set_rep, point: RandVar, tol: float) -> float:
     """Distance by projection when the representation supports it; a pure
-    membership oracle gets 0/inf at LABEL_TOL instead."""
-    try:
-        return float(set_rep.distance(point, min(tol, 1e-9)))
-    except (AttributeError, SolverError):
-        ok = contains(set_rep, point, LABEL_TOL)
-        return 0.0 if ok else math.inf
+    membership oracle (no ``distance``, or only the base class's
+    ``_project``) and a projection that gives up get 0/inf at LABEL_TOL."""
+    if (hasattr(set_rep, "distance") and getattr(type(set_rep), "_project", None)
+            is not ConvexSetRep._project):
+        try:
+            return float(set_rep.distance(point, min(tol, 1e-9)))
+        except SolverError:
+            pass
+    return 0.0 if contains(set_rep, point, LABEL_TOL) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +479,6 @@ def check_kkm_property(inst: KKMInstance, samples: int = 200,
 # intersecting a family with a bounded anchor
 # ---------------------------------------------------------------------------
 
-def _is_bounded_rep(rep) -> bool:
-    if isinstance(rep, (Polytope, Box)):
-        return True
-    if isinstance(rep, Intersection):
-        return any(_is_bounded_rep(p) for p in rep.parts)
-    return False
-
-
 def intersect_with_compact(family: list, anchor: ConvexSetRep, tol: float = 1e-6):
     """A point of anchor ∩ F_1 ∩ ... ∩ F_k, or an EmptyIntersection whose
     witness names a finite subfamily that provably fails to meet.
@@ -491,7 +486,7 @@ def intersect_with_compact(family: list, anchor: ConvexSetRep, tol: float = 1e-6
     The anchor must be bounded; cyclic projections then cannot escape.
     Index 0 of the witness refers to the anchor, i >= 1 to family[i-1].
     """
-    if not _is_bounded_rep(anchor):
+    if not is_bounded(anchor):
         raise InputError("anchor must be a bounded representation")
     reps = [anchor] + list(family)
     start = anchor.reference_point()

@@ -41,7 +41,7 @@ from .convex import (
     convex_combine,
 )
 from .errors import InputError, NonConvergent, SolverError, Unbounded
-from .measure import ProbSpace, RandVar, metric_d, phi, prob_at_least
+from .measure import ProbSpace, RandVar, metric_d, prob_at_least
 
 #: relative noise floor below which a duality gap is treated as exactly zero
 GAP_FLOAT_FLOOR = 1e-13
@@ -224,7 +224,7 @@ def _phi_mean(p: np.ndarray, g: np.ndarray) -> float:
     return float(np.dot(p, -np.expm1(-g)))
 
 
-def _maximize_tail_phi(pool: np.ndarray, pool_index, p: np.ndarray, slack: float):
+def _maximize_tail_phi(pool: np.ndarray, p: np.ndarray, slack: float):
     """Near-maximize E[phi(g)] over the convex hull of the pool columns.
 
     Returns (w_full over pool columns, g values, value, gap) with the
@@ -377,7 +377,6 @@ def extract(seq: SequenceSpec, set_rep: ConvexSetRep, tol: float):
     u_prev = 1.0  # E[phi] < 1 always; a valid a-priori bound
     fired_prev = False
     fired_states: list[ExtractState] = []
-    D = 1
     stages = [1]
     while stages[-1] * 2 <= seq.horizon:
         stages.append(stages[-1] * 2)
@@ -386,7 +385,7 @@ def extract(seq: SequenceSpec, set_rep: ConvexSetRep, tol: float):
         pool = V[:, D - 1:]
         pool_index = list(range(D, seq.horizon + 1))
         slack = min(1.0 / D, tol / 4.0)
-        w_full, gv, gamma_raw, gap = _maximize_tail_phi(pool, pool_index, p, slack)
+        w_full, gv, gamma_raw, gap = _maximize_tail_phi(pool, p, slack)
         g = RandVar(seq.space, gv)
 
         u = min(u_prev, gamma_raw + gap)

@@ -40,12 +40,13 @@ from .convex import (
 from .coercive import minimize
 from .errors import CurvatureError, InputError, NonConvergent
 from .expr import Expression
-from .functionals import LinearFunctional
+from .functionals import LinearFunctional, midpoint_scan
 from .measure import (
     DirectSumSpace,
     ProbSpace,
     RandVar,
     direct_sum,
+    randvar_to_json,
     split_oplus,
 )
 
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 _SPOT_SEED = 20240904
+
+#: payoff terms are checked for curvature on [0, CURVATURE_SCALE]
+CURVATURE_SCALE = 16.0
 
 #: matrix games: extragradient iterations in the first round; each round
 #: doubles the count and ends with the support polish and the exact
@@ -79,31 +83,10 @@ DIRECT_START_ITERS = 2_000
 DIRECT_MAX_ROUNDS = 7
 
 
-def _scan_scalar_curvature(expr: Expression, want: str, hi: float):
-    """Sampled midpoint check that expr (in x) is concave ('cap') or convex
-    ('cup') on [0, hi]; raises CurvatureError with the witness pair."""
-    rng = np.random.default_rng(_SPOT_SEED)
-    for _ in range(100):
-        a, b = rng.uniform(0.0, hi, size=2)
-        fa = expr.eval({"x": float(a)})
-        fb = expr.eval({"x": float(b)})
-        fm = expr.eval({"x": 0.5 * (float(a) + float(b))})
-        slack = 1e-9 * (1.0 + abs(fa) + abs(fb))
-        bad_cap = want == "cap" and fm < 0.5 * (fa + fb) - slack
-        bad_cup = want == "cup" and fm > 0.5 * (fa + fb) + slack
-        if bad_cap or bad_cup:
-            shape = "concave" if want == "cap" else "convex"
-            raise CurvatureError(
-                f"payoff term {expr.src!r} failed the {shape} midpoint "
-                f"spot-check at x pair ({a!r}, {b!r})"
-            )
-
-
 class BilinearPayoff:
     """Phi(f, g) = E[f * (K g)] + E[a(f)] + E[b(g)], concave-convex."""
 
-    def __init__(self, space: ProbSpace, K, f_term=None, g_term=None,
-                 curvature_scale: float = 16.0):
+    def __init__(self, space: ProbSpace, K, f_term=None, g_term=None):
         K = np.asarray(K, dtype=float)
         if K.shape != (space.n, space.n):
             raise InputError("kernel must be n-by-n for the space")
@@ -113,14 +96,25 @@ class BilinearPayoff:
         self.K = K
         self.f_term = Expression(f_term) if isinstance(f_term, str) else f_term
         self.g_term = Expression(g_term) if isinstance(g_term, str) else g_term
-        for term, want in ((self.f_term, "cap"), (self.g_term, "cup")):
-            if term is not None:
-                extra = [v for v in term.variables if v != "x"]
-                if extra:
-                    raise InputError(
-                        f"payoff term must use only x, found {extra}"
-                    )
-                _scan_scalar_curvature(term, want, curvature_scale)
+        for term, sign, shape in ((self.f_term, -1.0, "concave"),
+                                  (self.g_term, 1.0, "convex")):
+            if term is None:
+                continue
+            extra = [v for v in term.variables if v != "x"]
+            if extra:
+                raise InputError(f"payoff term must use only x, found {extra}")
+            # a concave term is a convex one negated; negation is exact, so
+            # the comparison is the same as testing concavity directly
+            hit = midpoint_scan(
+                lambda x: sign * term.eval({"x": float(x)}),
+                lambda rng: rng.uniform(0.0, CURVATURE_SCALE, size=2),
+                _SPOT_SEED,
+            )
+            if hit is not None:
+                raise CurvatureError(
+                    f"payoff term {term.src!r} failed the {shape} midpoint "
+                    f"spot-check at x pair ({hit[1]!r}, {hit[2]!r})"
+                )
 
     @property
     def is_bilinear(self) -> bool:
@@ -198,7 +192,6 @@ class SaddleCertificate:
     method: str
 
     def to_json(self) -> dict:
-        from .measure import randvar_to_json
         return {
             "f0": randvar_to_json(self.f0),
             "g0": randvar_to_json(self.g0),
@@ -251,11 +244,15 @@ def _solve_matrix_game(inst: SaddleInstance, tol: float) -> SaddleCertificate:
     for _round in range(EG_MAX_ROUNDS):
         u, w, u_avg, w_avg = _eg_rounds(M, u, w, step, iters)
         total_iters += iters
-        candidates = [(u_avg, w_avg), (u, w)]
-        polished = _support_polish(M, u_avg, w_avg)
-        if polished is not None:
-            candidates.insert(0, polished)
-        for uc, wc in candidates:
+        candidates = (
+            _support_polish(M, _apparent_support(u_avg), _apparent_support(w_avg)),
+            (u_avg, w_avg),
+            (u, w),
+            # last, supports that keep a strategy whose equilibrium weight
+            # is too small for the apparent support
+            _support_polish(M, *_near_best_responses(M, u_avg, w_avg)),
+        )
+        for uc, wc in filter(None, candidates):  # a failed polish is None
             gap, lo, hi = _game_gap(M, uc, wc)
             if best is None or gap < best[0]:
                 best = (gap, lo, hi, uc, wc)
@@ -299,11 +296,21 @@ def _game_gap(M, u, w):
     return hi - lo, lo, hi
 
 
-def _support_polish(M, u, w, thresh: float = 1e-6):
-    """Equalize payoffs on the apparent supports; exact when the support
-    guess is right, harmless otherwise (candidate is gap-checked)."""
-    su = np.flatnonzero(u > thresh * max(1.0, u.max()))
-    sw = np.flatnonzero(w > thresh * max(1.0, w.max()))
+def _apparent_support(x):
+    """Strategies whose weight is not negligible next to the largest."""
+    return np.flatnonzero(x > 1e-6 * max(1.0, x.max()))
+
+
+def _near_best_responses(M, u, w):
+    """Pure strategies within the pair's duality gap of a best response."""
+    gap, lo, hi = _game_gap(M, u, w)
+    return np.flatnonzero(M @ w >= hi - gap), np.flatnonzero(M.T @ u <= lo + gap)
+
+
+def _support_polish(M, su, sw):
+    """Equalize payoffs on the supports su (maximizer) and sw (minimizer);
+    exact when the support guess is right, harmless otherwise (candidate
+    is gap-checked)."""
     if su.size == 0 or sw.size == 0:
         return None
     a, b = su.size, sw.size
@@ -319,8 +326,8 @@ def _support_polish(M, u, w, thresh: float = 1e-6):
     rhs = np.zeros(a + b + 2)
     rhs[a + b:] = 1.0
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    u_new = np.zeros_like(u)
-    w_new = np.zeros_like(w)
+    u_new = np.zeros(M.shape[0])
+    w_new = np.zeros(M.shape[1])
     u_new[su] = np.clip(sol[:a], 0.0, None)
     w_new[sw] = np.clip(sol[a:a + b], 0.0, None)
     if u_new.sum() <= 0.0 or w_new.sum() <= 0.0:
@@ -559,7 +566,6 @@ class _GapFunctional:
         return np.concatenate([left, right])
 
     def to_json(self) -> dict:
-        from .measure import randvar_to_json
         return {
             "kind": "saddle-gap",
             "payoff": self.payoff.to_json(),

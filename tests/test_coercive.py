@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cckit import (
     Box,
+    CurvatureError,
     InputError,
     Intersection,
     LinearFunctional,
@@ -34,6 +35,21 @@ def rv(vals, space=U2):
 
 
 SEGMENT = Polytope([rv([1.0, 0.0]), rv([0.0, 1.0])])
+
+
+class _ConcaveFunctional:
+    """Declared convex but concave: G(f) = -E[f^2], or -E[max(f - kink, 0)^2]."""
+
+    declared_convex = True
+    kind = "concave"
+
+    def __init__(self, space, kink=None):
+        self.space = space
+        self.kink = kink
+
+    def value(self, f):
+        v = f.values if self.kink is None else np.maximum(f.values - self.kink, 0.0)
+        return -float(np.dot(self.space.probs, v ** 2))
 
 
 class TestCheckGrowth:
@@ -105,6 +121,25 @@ class TestMinimize:
         G = PointwiseFunctional(U2, "1 - exp(0 - x)")  # verdict: not convex
         with pytest.raises(InputError):
             minimize(G, SEGMENT, 1e-6)
+
+    def test_curvature_gate_catches_concave(self):
+        box = Box(rv([0.0, 0.0]), rv([10.0, 10.0]))
+        with pytest.raises(CurvatureError) as info:
+            minimize(_ConcaveFunctional(U2), box, 1e-6)
+        assert str(info.value) == (
+            "objective failed the midpoint convexity spot-check "
+            "(pair #0: G(mid)=-28.849994018460983 > avg=-35.242142926414516)"
+        )
+
+    def test_curvature_gate_reports_the_first_violating_pair(self):
+        # concave only above 9.8, so the pairs before #11 pass the check
+        box = Box(rv([0.0, 0.0]), rv([10.0, 10.0]))
+        with pytest.raises(CurvatureError) as info:
+            minimize(_ConcaveFunctional(U2, kink=9.8), box, 1e-6)
+        assert str(info.value) == (
+            "objective failed the midpoint convexity spot-check "
+            "(pair #11: G(mid)=-0.0 > avg=-0.009424575455712304)"
+        )
 
     def test_rejects_unbounded_set(self):
         Q = QuadraticFunctional(U2, np.eye(2))

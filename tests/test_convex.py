@@ -35,6 +35,21 @@ def rv(space, *vals):
     return RandVar(space, np.array(vals, dtype=float))
 
 
+class _ConcaveFunctional:
+    """Declared convex but concave: G(f) = -E[f^2], or -E[max(f - kink, 0)^2]."""
+
+    declared_convex = True
+    kind = "concave"
+
+    def __init__(self, space, kink=None):
+        self.space = space
+        self.kink = kink
+
+    def value(self, f):
+        v = f.values if self.kink is None else np.maximum(f.values - self.kink, 0.0)
+        return -float(np.dot(self.space.probs, v ** 2))
+
+
 class TestWeightVector:
     def test_validation(self):
         WeightVector(np.array([0.5, 0.5]))
@@ -198,10 +213,24 @@ class TestSublevel:
             Sublevel(sp, Plain(), 0.0)
 
     def test_curvature_gate_catches_concave(self):
-        from cckit import PointwiseFunctional
+        # G(f) = -E[f^2], declared convex: the first sampled pair refutes it
         sp = uspace(2)
-        with pytest.raises(CurvatureError):
-            PointwiseFunctional(sp, "0 - x^2", declared_convex=True)
+        with pytest.raises(CurvatureError) as info:
+            Sublevel(sp, _ConcaveFunctional(sp), 1.0)
+        assert str(info.value) == (
+            "midpoint convexity violated on sampled pair #0: "
+            "G(mid)=-35.55037376655738 > avg=-36.998600923703194"
+        )
+
+    def test_curvature_gate_reports_the_first_violating_pair(self):
+        # concave only above 9.8, so the pairs before #18 pass the check
+        sp = uspace(2)
+        with pytest.raises(CurvatureError) as info:
+            Sublevel(sp, _ConcaveFunctional(sp, kink=9.8), 1.0)
+        assert str(info.value) == (
+            "midpoint convexity violated on sampled pair #18: "
+            "G(mid)=-0.0 > avg=-0.00564421674052211"
+        )
 
 
 class TestIntersection:

@@ -129,6 +129,10 @@ class TestPointwise:
         fm = G.scalar(0.5 * (a + b))
         assert fm > 0.5 * (G.scalar(a) + G.scalar(b))
 
+    def test_concave_witness_is_the_first_violating_pair(self):
+        G = PointwiseFunctional(U2, "1 - exp(0 - x)")
+        assert G.convexity_witness == (1.0870274665769497, 6.795239619415498)
+
     def test_declared_true_on_concave_map_refused(self):
         with pytest.raises(CurvatureError):
             PointwiseFunctional(U2, "1 - exp(0 - x)", declared_convex=True)

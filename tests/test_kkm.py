@@ -6,6 +6,7 @@ import pytest
 
 from cckit import (
     Box,
+    ConvexSetRep,
     EmptyIntersection,
     InputError,
     KKMInstance,
@@ -163,6 +164,44 @@ class TestSpernerSolve:
         point = inst.point_at(np.asarray(w["weights"]))
         for i in w["carrier"]:
             assert not contains(inst.sets[i], point, 1e-9)
+
+    def test_membership_only_rep_is_a_membership_oracle(self):
+        # a ConvexSetRep with only _contains solves like its duck-typed twin
+        space = ProbSpace.uniform(2)
+
+        class AtLeast(ConvexSetRep):
+            kind = "at-least"
+
+            def __init__(self, i):
+                self.space, self.i = space, i
+
+            def _contains(self, f, tol):
+                return f.values[self.i] >= 0.4 - tol
+
+        class DuckAtLeast:
+            def __init__(self, i):
+                self.space, self.i = space, i
+
+            def _contains(self, f, tol):
+                return f.values[self.i] >= 0.4 - tol
+
+        for cls in (AtLeast, DuckAtLeast):
+            inst = KKMInstance.on_unit_simplex([cls(0), cls(1)])
+            point, report = sperner_solve(inst, tol=1e-6)
+            assert 0.4 - 1e-6 <= point.values[0] <= 0.6 + 1e-6
+            assert report["distances"] == [0.0, 0.0]
+
+    def test_attribute_error_inside_a_projection_propagates(self):
+        space = ProbSpace.uniform(2)
+
+        class Broken(Box):
+            def _project(self, f, tol):
+                raise AttributeError("a bug inside the projection")
+
+        sets = [Broken(rv(space, [0.0, 0.0]), rv(space, [1.0, 1.0]))
+                for _ in range(2)]
+        with pytest.raises(AttributeError, match="bug inside"):
+            sperner_solve(KKMInstance.on_unit_simplex(sets), tol=1e-6)
 
     def test_tol_validation(self):
         inst = threshold_family(2, 0.4)

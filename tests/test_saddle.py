@@ -87,6 +87,20 @@ class TestBilinearPayoff:
         with pytest.raises(CurvatureError):
             BilinearPayoff(U2, np.zeros((2, 2)), g_term="0 - x^2")  # concave cup
 
+    def test_curvature_gate_messages(self):
+        # the witness pair is the first draw; it prints as numpy scalars
+        pair = f"({np.float64(8.732752605280455)!r}, {np.float64(2.038768743979416)!r})"
+        with pytest.raises(CurvatureError) as info:
+            BilinearPayoff(U2, np.zeros((2, 2)), f_term="x^2")
+        assert str(info.value) == (
+            f"payoff term 'x^2' failed the concave midpoint spot-check at x pair {pair}"
+        )
+        with pytest.raises(CurvatureError) as info:
+            BilinearPayoff(U2, np.zeros((2, 2)), g_term="0 - x^2")
+        assert str(info.value) == (
+            f"payoff term '0 - x^2' failed the convex midpoint spot-check at x pair {pair}"
+        )
+
     def test_input_validation(self):
         with pytest.raises(InputError):
             BilinearPayoff(U2, np.zeros((3, 3)))
@@ -170,6 +184,15 @@ class TestMatrixGameSchedule:
             assert cert.gap <= 1e-6
             assert cert.iterations <= 4096
             assert cert.method == "extragradient+polish"
+
+    def test_tiny_equilibrium_weight_is_polished(self):
+        # the row player's equilibrium weight on its second strategy is
+        # about 3.8e-7, below the apparent-support threshold; the supports
+        # read off near-best responses still find the exact equilibrium
+        cert = solve_saddle(game([[1e-14, -2.6262848864983077],
+                                  [-8.787556800898046e-243, 1e-06]]), tol=1e-7)
+        assert cert.gap <= 1e-7
+        assert cert.iterations <= 4096
 
     def test_budget_exhaustion_reports_the_whole_schedule(self, monkeypatch):
         monkeypatch.setattr(saddle_mod, "_support_polish", lambda *a, **kw: None)
