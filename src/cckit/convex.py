@@ -114,6 +114,9 @@ class Polytope(ConvexSetRep):
         self._root_p = np.sqrt(space.probs)
         self._cols = np.stack([g.values for g in generators], axis=1)
         self._A = self._cols * self._root_p[:, None]
+        # generator columns by their bytes (+ 0.0 turns -0.0 into 0.0), so
+        # a generator is found without comparing it to every column
+        self._generator_keys = {(col + 0.0).tobytes() for col in self._cols.T}
 
     def max_abs_value(self) -> float:
         return float(np.abs(self._cols).max())
@@ -126,7 +129,7 @@ class Polytope(ConvexSetRep):
 
     def _contains(self, f, tol):
         # a generator sits at distance 0 <= tol: no program to solve
-        if np.any(np.all(self._cols == f.values[:, None], axis=0)):
+        if (f.values + 0.0).tobytes() in self._generator_keys:
             return True
         _, dist = self.weights_for(f, tol)
         return dist <= tol

@@ -16,10 +16,17 @@ covering family
 covering because any x = sum_j a_j v_j gives
 sum_j a_j F(x, v_j) = F(x, x) = 0, so some carrier term is <= 0 — on
 every face, which is precisely the covering property the simplicial
-walk consumes. A located cell pins the equilibrium region; a local
-minimax polish on m(x) = max_j F(x, v_j) (which is >= 0 everywhere and
-0 exactly at equilibria, again by Walras) then drives the reported
-violation down to tolerance. Tatonnement lives here only as a
+walk consumes. A located cell pins the equilibrium region, and its
+barycenter seeds Newton's method on F(x, v_j) = 0 for j < d-1 with
+sum(x) = 1, using the closed-form Jacobian (Cobb-Douglas demand
+derivatives for economies, T^T/(1 - d*eta) for tables); by Walras's law
+the last slice then vanishes as well. The Newton point is kept only when
+it lies in the truncated simplex and its violation, re-measured from
+scratch, is at most tol. Otherwise, as for tables whose equilibria sit on
+the boundary, a projected descent on m(x) = max_j F(x, v_j) (which is >= 0
+everywhere and 0 exactly at equilibria, again by Walras) takes over,
+stepping along the worst slice's row of the same Jacobian; and if that
+also misses tol the walk refines. Tatonnement lives here only as a
 diagnostic comparison route, never as the solver.
 """
 from __future__ import annotations
@@ -52,6 +59,9 @@ DEFAULT_ETA = 1e-6
 
 #: finest subdivision tried by the refinement loop
 MAX_Q = 2 ** 22
+
+#: Newton steps tried from each located cell before the descent takes over
+NEWTON_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -106,9 +116,15 @@ def excess_demand(econ: CobbDouglasEconomy, p) -> np.ndarray:
         raise InputError("price vector length must equal the number of goods")
     if np.any(p_vals <= 0.0) or not np.all(np.isfinite(p_vals)):
         raise InputError("prices must be strictly positive and finite")
-    budgets = econ.endowments @ p_vals
-    demand = (econ.exponents * budgets[:, None]).sum(axis=0) / p_vals
-    return demand - econ.endowments.sum(axis=0)
+    return _excess(econ.endowments, econ.exponents, econ.endowments.sum(axis=0),
+                   p_vals)
+
+
+def _excess(e: np.ndarray, a: np.ndarray, supply: np.ndarray,
+            p: np.ndarray) -> np.ndarray:
+    """Delta(p) for endowments e, shares a and supply e.sum(axis=0), with no
+    validation of p: the one place the demand arithmetic lives."""
+    return (a * (e @ p)[:, None]).sum(axis=0) / p - supply
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +271,12 @@ def solve_excess_demand(inst: ExcessDemandInstance, tol: float = 1e-6,
     """A price point x0 with max_j F(x0, v_j) <= tol, plus a report.
 
     Route: simplicial covering walk at doubling resolution locates a
-    completely-labeled cell; its barycenter seeds a local descent on the
-    net violation m(x) = max_j F(x, v_j), which Walras's law keeps
+    completely-labeled cell; its barycenter seeds Newton's method on the
+    slices, and, when the Newton point is not certified, a local descent
+    on the net violation m(x) = max_j F(x, v_j), which Walras's law keeps
     nonnegative with zeros exactly at equilibria. The reported violation
-    is re-measured from scratch at the returned point.
+    is re-measured from scratch at the returned point, and
+    ``polish_iterations`` counts Newton and descent steps together.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tol must be positive and finite")
@@ -293,10 +311,8 @@ def solve_excess_demand(inst: ExcessDemandInstance, tol: float = 1e-6,
         rounds += 1
         cell, _labeler = locate_complete_cell(kkm_inst, q, steps)
         zbar = np.mean(np.asarray(cell, dtype=float), axis=0) / q
-        x = kkm_inst.point_at(zbar)
-        x, polish_iters = _polish(inst, x, tol)
+        x, worst, polish_iters = _polish_cell(inst, kkm_inst.point_at(zbar), tol)
         polish_total += polish_iters
-        worst = float(inst.violations(x).max())
         if best is None or worst < best[1]:
             best = (x, worst)
         if worst <= tol:
@@ -321,49 +337,86 @@ def _report(inst, q, rounds, steps, polish_iters, worst, verdicts) -> dict:
     }
 
 
+def _polish_cell(inst: ExcessDemandInstance, x: RandVar, tol: float):
+    """From a cell's barycenter x: the Newton point when it lies in the
+    truncated simplex and re-measures within tol, else the descent's point.
+    Returns (point, its re-measured violation, Newton + descent steps)."""
+    x_newton, iters = _newton(inst, x)
+    if x_newton is not None and np.all(x_newton.values >= inst.eta):
+        worst = float(inst.violations(x_newton).max())
+        if worst <= tol:
+            return x_newton, worst, iters
+    x, descent_iters = _polish(inst, x, tol)
+    return x, float(inst.violations(x).max()), iters + descent_iters
+
+
+def _jacobian(inst: ExcessDemandInstance, x: np.ndarray) -> np.ndarray:
+    """Closed-form J[j, k] = d F(x, v_j) / d x_k.
+
+    Tables: F(x, v_j) = (T^T a(x))_j with a(x) = (x - eta)/(1 - d*eta), so
+    J = T^T / (1 - d*eta). Economies: F(x, v_j) = sum_k P_k v_jk Delta_k(x)
+    with the Cobb-Douglas derivative
+    dDelta_j/dp_k = sum_i a_ij e_ik / p_j - [j == k] sum_i a_ij (e_i.p) / p_j^2.
+    """
+    if inst.table is not None:
+        return inst.table.T / (1.0 - inst.d * inst.eta)
+    e, a = inst.economy.endowments, inst.economy.exponents
+    d_delta = (a.T @ e) / x[:, None]
+    d_delta[np.diag_indices(inst.d)] -= (a * (e @ x)[:, None]).sum(axis=0) / x ** 2
+    corners = np.stack([v.values for v in inst.vertices])
+    return (corners * inst.space.probs) @ d_delta
+
+
+def _newton(inst: ExcessDemandInstance, x: RandVar):
+    """Newton on F(x, v_j) = 0 for j < d-1 with sum(x) = 1; by Walras's law
+    the last slice then vanishes too wherever its weight is positive.
+    Returns (point or None, iterations); None when an iterate leaves the
+    positive orthant or the system turns singular. The caller re-measures
+    the point before trusting it."""
+    d = inst.d
+    p = x.values
+    for it in range(1, NEWTON_CAP + 1):
+        viol = inst.violations(RandVar(inst.space, p))
+        K = np.vstack([_jacobian(inst, p)[:-1], np.ones(d)])
+        r = np.append(viol[:-1], p.sum() - 1.0)
+        try:
+            step = np.linalg.solve(K, r)
+        except np.linalg.LinAlgError:
+            return None, it
+        p = p - step
+        if not (np.all(np.isfinite(p)) and np.all(p > 0.0)):
+            return None, it
+        # a table's slices are affine in x, so its first step is exact
+        if inst.table is not None or float(np.abs(step).max()) <= 1e-14:
+            break
+    return RandVar(inst.space, p), it
+
+
 def _polish(inst: ExcessDemandInstance, x: RandVar, tol: float,
             budget: int = 3000):
     """Projected subgradient descent with backtracking on the net violation
-    m(x) = max_j F(x, v_j), confined to the truncated simplex."""
+    m(x) = max_j F(x, v_j), confined to the truncated simplex; the
+    subgradient is the worst slice's row of the closed-form Jacobian."""
     space = inst.space
-    m_val = float(inst.violations(x).max())
+    viol = inst.violations(x)
     t = 0.1
     it = 0
-    while it < budget and m_val > 0.25 * tol:
+    while it < budget and float(viol.max()) > 0.25 * tol:
         it += 1
-        grad = _violation_subgrad(inst, x)
-        gn = float(np.linalg.norm(grad))
-        if gn <= 0.0:
+        grad = _jacobian(inst, x.values)[int(np.argmax(viol))]
+        if float(np.linalg.norm(grad)) <= 0.0:
             break
-        moved = False
         for _ in range(40):
             cand = project(inst.C, RandVar(space, x.values - t * grad), 1e-12)
-            cand_m = float(inst.violations(cand).max())
-            if cand_m < m_val - 1e-18:
-                x, m_val = cand, cand_m
+            cand_viol = inst.violations(cand)
+            if float(cand_viol.max()) < float(viol.max()) - 1e-18:
+                x, viol = cand, cand_viol
                 t *= 1.6
-                moved = True
                 break
             t *= 0.5
-        if not moved:
+        else:
             break
     return x, it
-
-
-def _violation_subgrad(inst: ExcessDemandInstance, x: RandVar) -> np.ndarray:
-    """Finite-difference gradient of the worst slice at x."""
-    viol = inst.violations(x)
-    j = int(np.argmax(viol))
-    v = inst.vertices[j]
-    h = 1e-7
-    grad = np.zeros(inst.d)
-    for k in range(inst.d):
-        e = np.zeros(inst.d)
-        e[k] = h
-        up = RandVar(inst.space, np.clip(x.values + e, inst.eta / 2, None))
-        dn = RandVar(inst.space, np.clip(x.values - e, inst.eta / 2, None))
-        grad[k] = (inst.F(up, v) - inst.F(dn, v)) / (2 * h)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +430,11 @@ def tatonnement(econ: CobbDouglasEconomy, rate: float = 0.05,
     comparison oracle for tests and demos only — the solver of record is
     the covering walk in ``solve_excess_demand``."""
     d = econ.goods
+    e, a = econ.endowments, econ.exponents
+    supply = e.sum(axis=0)
     p = np.full(d, 1.0 / d)
     for _ in range(max_iters):
-        delta = excess_demand(econ, p)
+        delta = _excess(e, a, supply, p)  # p > 0 holds by the clamp below
         if float(np.abs(delta).max()) <= tol:
             break
         p = np.clip(p + rate * delta, eta, None)

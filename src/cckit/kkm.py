@@ -23,9 +23,17 @@ completely-labeled cell by a door-to-door pivot walk:
 Every label is face-admissible by construction: only carrier indices
 (z_i > 0, exact integer test) are ever considered. If no carrier index
 admits a grid point the covering property itself is violated and the
-offending point is raised as a witness. Refinement doubles q until the
-output is within ``tol`` of every set, measured by independent
-projection, never by trusting the walk.
+offending point is raised as a witness.
+
+The walk is the localizer. When every set projects and the vertices are
+nonnegative, the first located cell whose barycenter misses ``tol`` is
+polished once: Dykstra's alternating projections (Boyle & Dykstra, 1986)
+run from that barycenter onto conv(vertices) and the sets, and the result
+is mapped back through its hull weights, so it lies in conv(vertices) by
+construction. Membership-only families skip the polish. Either way a
+point is accepted only when its distance to every set, re-measured by
+independent projection, is at most ``tol``; otherwise refinement doubles
+q and walks again, never trusting the walk or the polish.
 """
 from __future__ import annotations
 
@@ -35,7 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexSetRep, contains, is_bounded, project, _dykstra
+from .convex import (
+    ConvexSetRep,
+    Intersection,
+    Polytope,
+    contains,
+    is_bounded,
+    project,
+    _dykstra,
+)
 from .errors import (
     BudgetExceededError,
     EmptyIntersection,
@@ -353,8 +369,10 @@ def sperner_solve(inst: KKMInstance, tol: float = 1e-6):
     """A point within ``tol`` of every F_i, with a refinement report.
 
     Runs the pivot walk at doubling resolutions; at each resolution the
-    candidate is the located cell's barycenter, accepted only when its
-    independently-projected distance to every set is at most ``tol``.
+    candidate is the located cell's barycenter, or, once per solve, its
+    Dykstra polish (module docstring), accepted only when its
+    independently-projected distance to every set is at most ``tol``. The
+    report's ``weights`` are the candidate's barycentric weights.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tol must be positive and finite")
@@ -376,12 +394,18 @@ def sperner_solve(inst: KKMInstance, tol: float = 1e-6):
     q = 16
     rounds = 0
     best = None
+    may_polish = _can_polish(inst)
     while q <= MAX_RESOLUTION:
         rounds += 1
         cell, labeler = locate_complete_cell(inst, q, steps)
-        zbar = np.mean(np.asarray(cell, dtype=float), axis=0) / q
-        point = inst.point_at(zbar)
+        weights = np.mean(np.asarray(cell, dtype=float), axis=0) / q
+        point = inst.point_at(weights)
         dists = [_distance_to(s, point, tol) for s in inst.sets]
+        if max(dists) > tol and may_polish:
+            may_polish = False  # once per solve: from the first cell only
+            found = _polish(inst, point, tol)
+            if found is not None:
+                weights, point, dists = found
         worst = max(dists)
         report = {
             "q": q,
@@ -390,6 +414,7 @@ def sperner_solve(inst: KKMInstance, tol: float = 1e-6):
             "labels_evaluated": labeler.count,
             "max_distance": worst,
             "distances": dists,
+            "weights": weights,
             "cell_weights": [[zi / q for zi in z] for z in cell],
             "label_memo": labeler.memo,
         }
@@ -421,17 +446,54 @@ def locate_complete_cell(inst: KKMInstance, q: int, steps: list):
     )
 
 
+def _projectable(rep) -> bool:
+    """Does ``rep`` project? Its type must override the base ``_project`` (a
+    duck-typed membership oracle has none at all), and an intersection
+    projects only when every part does."""
+    own = getattr(type(rep), "_project", ConvexSetRep._project)
+    if own is ConvexSetRep._project:
+        return False
+    if isinstance(rep, Intersection):
+        return all(_projectable(part) for part in rep.parts)
+    return True
+
+
 def _distance_to(set_rep, point: RandVar, tol: float) -> float:
-    """Distance by projection when the representation supports it; a pure
-    membership oracle (no ``distance``, or only the base class's
-    ``_project``) and a projection that gives up get 0/inf at LABEL_TOL."""
-    if (hasattr(set_rep, "distance") and getattr(type(set_rep), "_project", None)
-            is not ConvexSetRep._project):
+    """Distance by projection when the representation projects; a pure
+    membership oracle and a projection that gives up get 0/inf at
+    LABEL_TOL."""
+    if _projectable(set_rep):
         try:
-            return float(set_rep.distance(point, min(tol, 1e-9)))
+            return norm(point - set_rep._project(point, min(tol, 1e-9)))
         except SolverError:
             pass
     return 0.0 if contains(set_rep, point, LABEL_TOL) else math.inf
+
+
+def _can_polish(inst: KKMInstance) -> bool:
+    """Polish needs a projection onto every set and onto conv(vertices),
+    which is a polytope only for nonnegative vertices."""
+    return bool(np.all(inst._V >= 0.0)) and all(map(_projectable, inst.sets))
+
+
+def _polish(inst: KKMInstance, start: RandVar, tol: float):
+    """Dykstra from ``start`` onto conv(vertices) ∩ F_1 ∩ ... ∩ F_d, mapped
+    back through the hull's weights so the point lies in conv(vertices) by
+    construction. Returns (weights, point, distances) when every re-measured
+    distance is at most ``tol``, else None (also when a projection gives
+    up). Where the sets only touch, as tangent balls do, Dykstra converges
+    sublinearly and gives up only after ``DYKSTRA_CAP`` sweeps."""
+    hull = Polytope(inst.vertices)
+    try:
+        x = _dykstra([hull, *inst.sets], start, min(tol, 1e-9))
+        w, _ = hull.weights_for(x)
+    except SolverError:  # BudgetExceededError included
+        return None
+    point = inst.point_at(w.weights)
+    dists = [_distance_to(s, point, tol) for s in inst.sets]
+    if max(dists) > tol:
+        return None
+    return w.weights, point, dists
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class BilinearPayoff:
             if hit is not None:
                 raise CurvatureError(
                     f"payoff term {term.src!r} failed the {shape} midpoint "
-                    f"spot-check at x pair ({hit[1]!r}, {hit[2]!r})"
+                    f"spot-check at x pair ({float(hit[1])!r}, {float(hit[2])!r})"
                 )
 
     @property

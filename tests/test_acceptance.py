@@ -506,6 +506,7 @@ def test_07_market_clearing():
         )
         assert np.abs(np.asarray(x.values) - np.asarray(target)).max() <= 1e-4
         assert report["max_violation"] <= 1e-6
+        assert report["rounds"] <= 2
 
     # budget identity at random prices on random economies
     rng = np.random.default_rng(707)
@@ -549,6 +550,8 @@ def test_07_market_clearing():
         worst_agree = max(worst_agree, float(agree))
         assert agree <= 1e-4
         assert report["max_violation"] <= 1e-6
+        # the first located cell seeds a certified Newton polish
+        assert report["rounds"] <= 2
     _verdict(7, "market clearing",
              f"fixtures exact; worst |p.z| {worst_walras:.1e} over 10^4; "
              f"worst route disagreement {worst_agree:.1e} over 20")

@@ -96,6 +96,7 @@ class TestCommands:
         w0 = res["point"]["values"]["w0"]
         assert 0.4 - 1e-5 <= w0 <= 0.6 + 1e-5
         assert res["max_distance"] <= 1e-6
+        assert (res["q"], res["rounds"]) == (16, 1)
 
     def test_equilibrium_symmetric(self, capsys):
         code, doc = run_json(capsys, "equilibrium", fixture("econ_symmetric.json"))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cckit.convex
 from cckit import (
     Box,
     CurvatureError,
@@ -147,6 +148,23 @@ class TestPolytopeMembershipDifferential:
                 flipped = RandVar(poly.space, np.where(g.values == 0.0, -g.values, g.values))
                 assert contains(poly, flipped, 0.0)
                 assert poly.weights_for(g)[1] <= 0.0
+
+    def test_a_generator_needs_no_weight_program(self, monkeypatch):
+        calls = []
+        real = cckit.convex._simplex_lsq
+
+        def counting(A, b):
+            calls.append(b.copy())
+            return real(A, b)
+
+        monkeypatch.setattr(cckit.convex, "_simplex_lsq", counting)
+        space = ProbSpace.uniform(2)
+        poly = Polytope([RandVar(space, [1.0, -0.0]), RandVar(space, [0.0, 1.0])])
+        for vals in ([1.0, 0.0], [1.0, -0.0], [-0.0, 1.0]):
+            assert contains(poly, RandVar(space, vals), 0.0)
+        assert calls == []
+        assert contains(poly, RandVar(space, [0.5, 0.5]), 1e-9)
+        assert len(calls) == 1
 
     def test_agrees_with_the_weight_program(self):
         rng = np.random.default_rng(31)

@@ -4,11 +4,13 @@ field, its aggregate-value identity, and the covering-based solver."""
 import numpy as np
 import pytest
 
+from cckit import equilibrium
 from cckit import (
     CobbDouglasEconomy,
     ExcessDemandInstance,
     InputError,
     NonConvergent,
+    RandVar,
     check_hypotheses,
     economy_from_json,
     excess_demand,
@@ -185,7 +187,93 @@ class TestSolve:
         assert max(v) <= 1e-6
 
 
+def three_good_economies(seed, count):
+    """Random economies of 2-3 agents on 3 goods, the benchmark's shape."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        agents = int(rng.integers(2, 4))
+        shares = rng.uniform(0.2, 1.0, size=(agents, 3))
+        shares /= shares.sum(axis=1, keepdims=True)
+        out.append(CobbDouglasEconomy(rng.uniform(0.2, 1.0, size=(agents, 3)),
+                                      shares))
+    return out
+
+
+class TestNewtonPolish:
+    """The located cell seeds Newton on the closed-form Jacobian; its point
+    is kept only when it lies in the truncated simplex and re-measures
+    within tol."""
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(11)
+        insts = [ExcessDemandInstance.from_economy(econ)
+                 for econ in three_good_economies(12, 3)]
+        a = rng.uniform(-1.0, 1.0, size=(3, 3))
+        insts.append(ExcessDemandInstance.from_table(a - a.T))
+        for inst in insts:
+            x = rng.dirichlet(np.ones(3)) * 0.9 + 0.1 / 3
+            J = equilibrium._jacobian(inst, x)
+            h = 1e-6
+            for k in range(3):
+                e = np.zeros(3)
+                e[k] = h
+                up = inst.violations(RandVar(inst.space, x + e))
+                dn = inst.violations(RandVar(inst.space, x - e))
+                assert np.allclose(J[:, k], (up - dn) / (2 * h),
+                                   rtol=1e-6, atol=1e-7)
+
+    def test_three_good_economies_clear_in_one_round(self):
+        for econ in three_good_economies(8, 8):
+            inst = ExcessDemandInstance.from_economy(econ)
+            x, report = solve_excess_demand(inst, tol=1e-6)
+            assert (report["q"], report["rounds"]) == (32, 1)
+            assert report["max_violation"] <= 1e-6
+            assert np.all(x.values >= inst.eta)
+            assert abs(float(x.values.sum()) - 1.0) <= 1e-12
+            assert float(inst.violations(x).max()) == report["max_violation"]
+
+    def test_fixture_economies_clear_exactly(self):
+        for econ, target in ((SYMMETRIC, [0.5, 0.5]),
+                             (ASYMMETRIC, [1 / 3, 2 / 3])):
+            x, report = solve_excess_demand(
+                ExcessDemandInstance.from_economy(econ), tol=1e-6)
+            assert np.abs(x.values - target).max() <= 1e-14
+            assert report["rounds"] == 1
+            assert report["max_violation"] <= 1e-15
+
+    def test_boundary_equilibrium_falls_back_to_descent(self):
+        # the table clears only at a corner, where Newton's solution of the
+        # first slice leaves the truncated simplex; the descent finds it
+        inst = ExcessDemandInstance.from_table([[0.0, 1.0], [-1.0, 0.0]])
+        x, report = solve_excess_demand(inst, tol=1e-6)
+        assert np.array_equal(x.values, inst.vertices[1].values)
+        assert report["rounds"] == 1
+
+
 class TestTatonnement:
+    @staticmethod
+    def validated_loop(econ, rate=0.05, eta=1e-6, tol=1e-10, max_iters=200_000):
+        """The iteration through the validated public excess_demand."""
+        p = np.full(econ.goods, 1.0 / econ.goods)
+        for _ in range(max_iters):
+            delta = excess_demand(econ, p)
+            if float(np.abs(delta).max()) <= tol:
+                break
+            p = np.clip(p + rate * delta, eta, None)
+            p = p / p.sum()
+        return p
+
+    def test_iterates_match_the_validated_loop_bit_for_bit(self):
+        econs = three_good_economies(21, 4) + [SYMMETRIC, ASYMMETRIC]
+        for econ in econs:
+            for rate, tol, iters in ((0.05, 1e-10, 200_000), (0.5, 0.0, 3000)):
+                assert np.array_equal(
+                    tatonnement(econ, rate=rate, tol=tol, max_iters=iters),
+                    self.validated_loop(econ, rate=rate, tol=tol,
+                                        max_iters=iters),
+                )
+
     def test_agrees_with_covering_solver(self):
         inst = ExcessDemandInstance.from_economy(SYMMETRIC)
         x, _ = solve_excess_demand(inst, tol=1e-6)

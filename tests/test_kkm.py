@@ -1,20 +1,28 @@
 """Simplex covering families: the pivot-walk solver, covering checks,
 and intersection with a bounded anchor."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import cckit.kkm
 from cckit import (
     Box,
+    BudgetExceededError,
     ConvexSetRep,
     EmptyIntersection,
     InputError,
+    Intersection,
     KKMInstance,
     KKMViolation,
+    LinearFunctional,
     Polytope,
     ProbSpace,
     QuadraticFunctional,
     RandVar,
+    SolverError,
+    Sublevel,
     check_kkm_property,
     contains,
     intersect_with_compact,
@@ -40,6 +48,100 @@ def threshold_family(d, thresh):
     return KKMInstance.on_unit_simplex(
         [coord_at_least(space, i, thresh) for i in range(d)]
     )
+
+
+def halfspace_family(t):
+    """x_i >= t_i on the unit simplex, written as the linear sublevel sets
+    {x >= 0 : sum_{j != i} x_j <= 1 - t_i} (uniform atoms)."""
+    d = len(t)
+    space = ProbSpace.uniform(d)
+    return KKMInstance.on_unit_simplex([
+        Sublevel(space, LinearFunctional(space, d * (1.0 - np.eye(d)[i])),
+                 1.0 - t[i])
+        for i in range(d)
+    ])
+
+
+def ball_family(d, r):
+    """Balls of radius r around the simplex's corners, as quadratic
+    sublevel sets 0.5 E[x^2] - E[v_i x] <= r^2/2 - 0.5 E[v_i^2]."""
+    space = ProbSpace.uniform(d)
+    return KKMInstance.on_unit_simplex([
+        Sublevel(space, QuadraticFunctional(space, np.eye(d), -np.eye(d)[i]),
+                 0.5 * r * r - 0.5 / d)
+        for i in range(d)
+    ])
+
+
+def star_family(d, push):
+    """F_i = conv of corner i, the centroids of the faces through it, and
+    the simplex's centroid pushed by ``push`` away from corner i: the
+    barycentric-subdivision cells, widened so they overlap near the
+    centroid."""
+    space = ProbSpace.uniform(d)
+    eye = np.eye(d)
+    center = np.full(d, 1.0 / d)
+    sets = []
+    for i in range(d):
+        others = [j for j in range(d) if j != i]
+        gens = [eye[[i, *face]].mean(axis=0)
+                for k in range(d - 1) for face in itertools.combinations(others, k)]
+        gens.append(center + push * (center - eye[i]))
+        sets.append(Polytope([rv(space, g) for g in gens]))
+    return KKMInstance.on_unit_simplex(sets)
+
+
+def capped_threshold_family(t):
+    """{x_i >= t_i} intersected with the halfspace {sum x <= 1}."""
+    d = len(t)
+    space = ProbSpace.uniform(d)
+    cap = Sublevel(space, LinearFunctional(space, d * np.ones(d)), 1.0)
+    return KKMInstance.on_unit_simplex([
+        Intersection([coord_at_least(space, i, t[i]), cap]) for i in range(d)
+    ])
+
+
+def general_vertex_family():
+    """Lower bounds on the hull of three general vertices. Atoms 0 and 1 of
+    a hull point sum to 2 and atom 2 is 1 + 2 w_2, so the bounds cover,
+    and they meet only on the segment {atom 0 = 1.2, w_2 >= 0.6}."""
+    space = ProbSpace.uniform(3)
+    verts = [rv(space, [2.0, 0.0, 1.0]), rv(space, [0.0, 2.0, 1.0]),
+             rv(space, [1.0, 1.0, 3.0])]
+    top = rv(space, [9.0, 9.0, 9.0])
+    return KKMInstance(verts, [
+        Box(rv(space, [1.2, 0.0, 0.0]), top),
+        Box(rv(space, [0.0, 0.8, 0.0]), top),
+        Box(rv(space, [0.0, 0.0, 2.2]), top),
+    ])
+
+
+def polished(report):
+    """Is the reported point the polish rather than the cell's barycenter?
+    At a power-of-two q both sides round the same sum once, so an
+    unpolished point's weights equal the barycenter exactly."""
+    return not np.array_equal(
+        report["weights"], np.mean(np.asarray(report["cell_weights"]), axis=0)
+    )
+
+
+class AtLeast(ConvexSetRep):
+    """{w : w_i >= thresh} as a membership oracle: no projection offered."""
+
+    kind = "at-least"
+
+    def __init__(self, space, i, thresh):
+        self.space, self.i, self.thresh = space, i, thresh
+
+    def _contains(self, f, tol):
+        return f.values[self.i] >= self.thresh - tol
+
+
+class UnprojectableBox(Box):
+    """A box whose projection always gives up."""
+
+    def _project(self, f, tol):
+        raise SolverError("projection gave up")
 
 
 class TestInstance:
@@ -169,27 +271,33 @@ class TestSpernerSolve:
         # a ConvexSetRep with only _contains solves like its duck-typed twin
         space = ProbSpace.uniform(2)
 
-        class AtLeast(ConvexSetRep):
-            kind = "at-least"
-
-            def __init__(self, i):
-                self.space, self.i = space, i
-
-            def _contains(self, f, tol):
-                return f.values[self.i] >= 0.4 - tol
-
         class DuckAtLeast:
-            def __init__(self, i):
-                self.space, self.i = space, i
+            def __init__(self, space, i, thresh):
+                self.space, self.i, self.thresh = space, i, thresh
 
             def _contains(self, f, tol):
-                return f.values[self.i] >= 0.4 - tol
+                return f.values[self.i] >= self.thresh - tol
 
         for cls in (AtLeast, DuckAtLeast):
-            inst = KKMInstance.on_unit_simplex([cls(0), cls(1)])
+            inst = KKMInstance.on_unit_simplex(
+                [cls(space, 0, 0.4), cls(space, 1, 0.4)]
+            )
             point, report = sperner_solve(inst, tol=1e-6)
             assert 0.4 - 1e-6 <= point.values[0] <= 0.6 + 1e-6
             assert report["distances"] == [0.0, 0.0]
+
+    def test_intersection_with_a_membership_only_part(self):
+        # the intersection cannot project, so it is a membership oracle as a
+        # whole: its distance is 0/inf and the polish is skipped
+        space = ProbSpace.uniform(2)
+        whole = Box(rv(space, [0.0, 0.0]), rv(space, [1.0, 1.0]))
+        inst = KKMInstance.on_unit_simplex(
+            [Intersection([whole, AtLeast(space, i, 0.4)]) for i in range(2)]
+        )
+        point, report = sperner_solve(inst, tol=1e-6)
+        assert 0.4 - 1e-6 <= point.values[0] <= 0.6 + 1e-6
+        assert report["distances"] == [0.0, 0.0]
+        assert not polished(report)
 
     def test_attribute_error_inside_a_projection_propagates(self):
         space = ProbSpace.uniform(2)
@@ -207,6 +315,109 @@ class TestSpernerSolve:
         inst = threshold_family(2, 0.4)
         with pytest.raises(InputError):
             sperner_solve(inst, tol=0.0)
+
+
+class TestPolish:
+    """A projectable family is polished once, from the first located cell,
+    by Dykstra onto conv(vertices) and the sets; a membership-only family
+    walks and refines exactly as before."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_box_families_close_at_the_first_cell(self, d):
+        # thresholds on the 1/32 lattice inside [0.5/d, 1/d]: the
+        # barycenter alone needs refinement to q = 4096 on these
+        rng = np.random.default_rng(600 + d)
+        space = ProbSpace.uniform(d)
+        for _ in range(6):
+            t = rng.integers(int(np.ceil(16 / d)), 32 // d + 1, size=d) / 32.0
+            inst = KKMInstance.on_unit_simplex(
+                [coord_at_least(space, i, t[i]) for i in range(d)]
+            )
+            point, report = sperner_solve(inst, tol=1e-4)
+            assert (report["q"], report["rounds"]) == (16, 1), t
+            assert report["steps"] <= 100
+            assert report["max_distance"] <= 1e-4
+            assert np.all(point.values >= t - 1e-4 * np.sqrt(d))
+
+    @pytest.mark.parametrize("d, thresh, tol", [
+        (2, 0.4, 1e-6), (3, 0.25, 1e-3), (4, 0.2, 1e-3), (3, 0.25, 1e-2),
+        (3, 0.25, 1e-6),
+    ])
+    def test_threshold_families_close_in_one_round(self, d, thresh, tol):
+        _, report = sperner_solve(threshold_family(d, thresh), tol=tol)
+        assert (report["q"], report["rounds"]) == (16, 1)
+        assert report["max_distance"] <= tol
+
+    def test_polished_point_is_a_hull_point_near_every_set(self):
+        inst = threshold_family(3, 0.25)
+        point, report = sperner_solve(inst, tol=1e-6)
+        assert polished(report)
+        w = report["weights"]
+        assert np.all(w >= 0.0)
+        assert abs(float(w.sum()) - 1.0) <= 1e-12
+        assert np.array_equal(point.values, inst.point_at(w).values)
+        p = inst.space.probs
+        for s in inst.sets:
+            gap = point.values - project(s, point, 1e-12).values
+            assert float(np.sqrt(np.dot(p, gap ** 2))) <= 1e-6
+
+    # Without the polish these families refine far: the (q, rounds) the
+    # barycenter alone needs is noted with each, with its time on a 2-vCPU
+    # VM.
+    @pytest.mark.parametrize("build", [
+        general_vertex_family,  # 2^19, 16: 77 s
+        lambda: halfspace_family([0.3125, 0.28125, 0.25]),  # 2^19, 16: 53 s
+        lambda: halfspace_family([0.1875, 0.25, 0.21875, 0.15625]),  # 2^18, 15: 65 s
+        lambda: ball_family(3, 0.62),  # 2048, 8: 0.4 s
+        lambda: star_family(3, 0.2),  # 2^17, 14: 166 s
+        lambda: star_family(4, 0.1),  # not done in 300 s
+        lambda: capped_threshold_family([0.3125, 0.28125, 0.25]),  # 2^19, 16: 83 s
+    ], ids=["general_vertices", "halfspace3", "halfspace4", "ball3",
+            "polytope3", "polytope4", "intersection3"])
+    def test_families_close_at_the_first_cell(self, build):
+        inst = build()
+        point, report = sperner_solve(inst, tol=1e-6)
+        assert (report["q"], report["rounds"]) == (16, 1)
+        assert polished(report)
+        assert report["max_distance"] <= 1e-6
+        w = report["weights"]
+        assert np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12
+        assert np.array_equal(point.values, inst.point_at(w).values)
+
+    def test_membership_only_family_walks_as_before(self):
+        # pinned: the walk, its refinement and its barycenter are unchanged
+        space = ProbSpace.uniform(3)
+        inst = KKMInstance.on_unit_simplex(
+            [AtLeast(space, i, 0.3) for i in range(3)]
+        )
+        point, report = sperner_solve(inst, tol=1e-6)
+        assert (report["q"], report["rounds"], report["steps"]) == (64, 3, 173)
+        assert not polished(report)
+        assert list(point.values) == [29 / 96, 29 / 96, 38 / 96]
+
+    def test_a_polish_that_gives_up_is_tried_once(self, monkeypatch):
+        calls = []
+
+        def give_up(parts, f, tol):
+            calls.append(len(parts))
+            raise BudgetExceededError("Dykstra gave up")
+
+        monkeypatch.setattr(cckit.kkm, "_dykstra", give_up)
+        point, report = sperner_solve(threshold_family(3, 0.3), tol=1e-6)
+        assert calls == [4]  # the hull and the three sets, once
+        assert (report["q"], report["rounds"], report["steps"]) == (64, 3, 173)
+        assert not polished(report)
+
+    def test_sets_that_cannot_project_skip_the_polish(self):
+        space = ProbSpace.uniform(3)
+        lo = 0.3 * np.eye(3)
+        inst = KKMInstance.on_unit_simplex(
+            [UnprojectableBox(rv(space, lo[i]), rv(space, np.ones(3)))
+             for i in range(3)]
+        )
+        _, report = sperner_solve(inst, tol=1e-6)
+        assert (report["q"], report["rounds"], report["steps"]) == (64, 3, 173)
+        assert report["distances"] == [0.0, 0.0, 0.0]
 
 
 class TestCheckKKMProperty:

@@ -255,6 +255,16 @@ class TestExtractBounded:
         assert len(calls) <= 1
         assert contains(amb, limit, 2e-6)
 
+    def test_ambient_check_names_the_first_term_outside(self):
+        # a term inside the hull that is no generator passes through the
+        # weight program; a term outside is named by its index
+        amb = Polytope([rv(U2, [1.0, -0.0]), rv(U2, [0.0, 1.0])])
+        rows = [[1.0, 0.0] if n % 2 else [0.0, 1.0] for n in range(32)]
+        extract(seq_from_values(U2, [[0.5, 0.5]] + rows), amb, tol=1e-6)
+        with pytest.raises(InputError, match="^term 3 is not contained"):
+            extract(seq_from_values(U2, rows[:2] + [[2.0, 0.0]] + rows), amb,
+                    tol=1e-6)
+
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_random_bounded_sequences_behave(self, data):
