@@ -394,9 +394,11 @@ def _dykstra(parts, f: RandVar, tol: float) -> RandVar:
             xp = part._project(y, tol)
             incs[i] = y - xp
             x = xp
-        drift = norm(x - x_prev)
-        feasible = all(part._contains(x, max(tol, 1e-12)) for part in parts)
-        if drift <= 1e-15 + 0.01 * tol and feasible:
+        # membership (a weight program for a polytope part) is re-tested
+        # only once the sweep has stopped moving
+        if norm(x - x_prev) <= 1e-15 + 0.01 * tol and all(
+            part._contains(x, max(tol, 1e-12)) for part in parts
+        ):
             return x
     raise BudgetExceededError(
         f"Dykstra did not converge in {DYKSTRA_CAP} sweeps "

@@ -63,6 +63,9 @@ MAX_Q = 2 ** 22
 #: Newton steps tried from each located cell before the descent takes over
 NEWTON_CAP = 50
 
+#: descent steps tried from a cell where Newton failed
+DESCENT_CAP = 3000
+
 
 @dataclass(frozen=True)
 class CobbDouglasEconomy:
@@ -392,8 +395,7 @@ def _newton(inst: ExcessDemandInstance, x: RandVar):
     return RandVar(inst.space, p), it
 
 
-def _polish(inst: ExcessDemandInstance, x: RandVar, tol: float,
-            budget: int = 3000):
+def _polish(inst: ExcessDemandInstance, x: RandVar, tol: float):
     """Projected subgradient descent with backtracking on the net violation
     m(x) = max_j F(x, v_j), confined to the truncated simplex; the
     subgradient is the worst slice's row of the closed-form Jacobian."""
@@ -401,7 +403,7 @@ def _polish(inst: ExcessDemandInstance, x: RandVar, tol: float,
     viol = inst.violations(x)
     t = 0.1
     it = 0
-    while it < budget and float(viol.max()) > 0.25 * tol:
+    while it < DESCENT_CAP and float(viol.max()) > 0.25 * tol:
         it += 1
         grad = _jacobian(inst, x.values)[int(np.argmax(viol))]
         if float(np.linalg.norm(grad)) <= 0.0:

@@ -22,6 +22,14 @@ index wins ties), followed by a Newton re-optimization over the active
 vertices. Duality gaps at or below the floating-point noise floor are
 snapped to exact zero so downstream monotonicity assertions can be
 exact.
+
+The tail hulls are nested, conv{f_n : n >= 2D} inside conv{f_n : n >= D},
+so each stage after the first starts warm: the previous maximizer's
+weight on indices >= D, renormalized, is already a point of the new
+hull, and the loop starts there instead of from the best single vertex
+(which it still uses when no index survives). The gap is measured over
+the whole new pool as before, so the bound u and the certificates keep
+their meaning; a stage's weights sit on indices >= D by construction.
 """
 from __future__ import annotations
 
@@ -224,12 +232,26 @@ def _phi_mean(p: np.ndarray, g: np.ndarray) -> float:
     return float(np.dot(p, -np.expm1(-g)))
 
 
-def _maximize_tail_phi(pool: np.ndarray, p: np.ndarray, slack: float):
+def _best_vertex(pool: np.ndarray, p: np.ndarray) -> int:
+    """Column with the largest E[phi], lowest index on ties: one
+    fixed-order reduction over the atoms for all columns at once. It
+    ranks -E[phi] (negation is exact) so one buffer serves in place."""
+    t = np.negative(pool)
+    np.expm1(t, out=t)
+    t *= p[:, None]
+    return int(np.argmin(t.sum(axis=0)))
+
+
+def _maximize_tail_phi(pool: np.ndarray, p: np.ndarray, slack: float,
+                       warm=None):
     """Near-maximize E[phi(g)] over the convex hull of the pool columns.
 
     Returns (w_full over pool columns, g values, value, gap) with the
     final duality gap a certified bound on (hull supremum - value); stops
     once gap <= slack. Ties in vertex picking break to the lowest index.
+    ``warm`` = (columns, weights) is a start point in the hull (distinct
+    columns, weights on the simplex); without it the loop starts from the
+    best single vertex.
     """
     n_atoms, m = pool.shape
     scale = 1.0 + float(np.abs(pool).max(initial=0.0))
@@ -237,10 +259,12 @@ def _maximize_tail_phi(pool: np.ndarray, p: np.ndarray, slack: float):
     def scores(gv):
         return pool.T @ (p * np.exp(-gv))
 
-    # start from the best single vertex
-    start_vals = np.array([_phi_mean(p, pool[:, j]) for j in range(m)])
-    S = [int(np.argmax(start_vals))]
-    wS = np.array([1.0])
+    if warm is not None:
+        S = [int(j) for j in warm[0]]
+        wS = np.asarray(warm[1], dtype=float)
+    else:
+        S = [_best_vertex(pool, p)]
+        wS = np.array([1.0])
 
     for _ in range(CG_VERTEX_CAP):
         wS = _restricted_newton(pool[:, S], p, wS)
@@ -271,7 +295,9 @@ def _restricted_newton(A: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarra
     """Maximize E[phi(A w)] over the weight simplex on the active columns.
 
     Equality-constrained Newton on the positive support with ratio-test
-    line search; support re-entry via the simplex KKT condition.
+    line search; support re-entry via the simplex KKT condition. A column
+    at weight zero whose step component comes out negative is left out of
+    that step and the step re-solved, so the ratio test never stops at 0.
     """
     m = A.shape[1]
     if m == 1:
@@ -292,15 +318,20 @@ def _restricted_newton(A: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarra
         if stat <= 1e-15 * scale and entry <= GAP_FLOAT_FLOOR * scale:
             break
         P = np.where(pos | (viol > GAP_FLOAT_FLOOR * scale))[0]
-        Ap = A[:, P]
-        Q = Ap.T @ (weights_atom[:, None] * Ap)  # = -Hessian restricted
-        k = P.size
-        K = np.zeros((k + 1, k + 1))
-        K[:k, :k] = Q + 1e-14 * scale * scale * np.eye(k)
-        K[:k, k] = 1.0
-        K[k, :k] = 1.0
-        rhs = np.concatenate([viol[P], [0.0]])
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        while True:
+            Ap = A[:, P]
+            Q = Ap.T @ (weights_atom[:, None] * Ap)  # = -Hessian restricted
+            k = P.size
+            K = np.zeros((k + 1, k + 1))
+            K[:k, :k] = Q + 1e-14 * scale * scale * np.eye(k)
+            K[:k, k] = 1.0
+            K[k, :k] = 1.0
+            rhs = np.concatenate([viol[P], [0.0]])
+            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+            blocked = (sol[:k] < 0.0) & ~pos[P]
+            if not blocked.any():
+                break
+            P = P[~blocked]
         d = np.zeros(m)
         d[P] = sol[:k]
         if float(np.abs(d).max()) <= 1e-18:
@@ -385,7 +416,16 @@ def extract(seq: SequenceSpec, set_rep: ConvexSetRep, tol: float):
         pool = V[:, D - 1:]
         pool_index = list(range(D, seq.horizon + 1))
         slack = min(1.0 / D, tol / 4.0)
-        w_full, gv, gamma_raw, gap = _maximize_tail_phi(pool, p, slack)
+        warm = None
+        if trace:
+            # tail hulls are nested: the previous maximizer's weight on
+            # indices >= D, renormalized, is a point of this stage's hull
+            keep = [k for k, n in enumerate(trace[-1].indices) if n >= D]
+            if keep:
+                w_keep = trace[-1].w.weights[keep]
+                warm = ([trace[-1].indices[k] - D for k in keep],
+                        w_keep / w_keep.sum())
+        w_full, gv, gamma_raw, gap = _maximize_tail_phi(pool, p, slack, warm)
         g = RandVar(seq.space, gv)
 
         u = min(u_prev, gamma_raw + gap)

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+import cckit.convex
 import cckit.kkm
 from cckit import (
     Box,
@@ -27,6 +28,7 @@ from cckit import (
     contains,
     intersect_with_compact,
     lower_contour,
+    norm,
     project,
     sperner_solve,
 )
@@ -114,6 +116,25 @@ def general_vertex_family():
         Box(rv(space, [0.0, 0.8, 0.0]), top),
         Box(rv(space, [0.0, 0.0, 2.2]), top),
     ])
+
+
+def eager_dykstra(parts, f, tol):
+    """Dykstra's projections as the package ran them before membership was
+    re-tested lazily: every part's membership after every sweep."""
+    x = f
+    incs = [RandVar(f.space, np.zeros(f.space.n))] * len(parts)
+    for _ in range(cckit.convex.DYKSTRA_CAP):
+        x_prev = x
+        for i, part in enumerate(parts):
+            y = x + incs[i]
+            xp = part._project(y, tol)
+            incs[i] = y - xp
+            x = xp
+        drift = norm(x - x_prev)
+        feasible = all(part._contains(x, max(tol, 1e-12)) for part in parts)
+        if drift <= 1e-15 + 0.01 * tol and feasible:
+            return x
+    raise BudgetExceededError("reference Dykstra did not converge")
 
 
 def polished(report):
@@ -407,6 +428,37 @@ class TestPolish:
         assert calls == [4]  # the hull and the three sets, once
         assert (report["q"], report["rounds"], report["steps"]) == (64, 3, 173)
         assert not polished(report)
+
+    def test_dykstra_tests_membership_only_once_settled(self, monkeypatch):
+        # box families in the benchmark's kkm_box4 shape, polished from
+        # points outside the boxes: the same point as a Dykstra that tests
+        # membership after every sweep, with fewer weight programs
+        calls = []
+        real = Polytope.weights_for
+
+        def counting(poly, f, tol=1e-9):
+            calls.append(1)
+            return real(poly, f, tol)
+
+        monkeypatch.setattr(Polytope, "weights_for", counting)
+        rng = np.random.default_rng(604)
+        space = ProbSpace.uniform(4)
+        lazy = eager = 0
+        for _ in range(4):
+            t = rng.integers(4, 9, size=4) / 32.0
+            inst = KKMInstance.on_unit_simplex(
+                [coord_at_least(space, i, t[i]) for i in range(4)]
+            )
+            parts = [Polytope(inst.vertices), *inst.sets]
+            start = rv(space, rng.dirichlet(np.full(4, 0.5)))
+            calls.clear()
+            got = cckit.convex._dykstra(parts, start, 1e-9)
+            lazy += len(calls)
+            calls.clear()
+            want = eager_dykstra(parts, start, 1e-9)
+            eager += len(calls)
+            assert np.array_equal(got.values, want.values)
+        assert lazy < eager
 
     def test_sets_that_cannot_project_skip_the_polish(self):
         space = ProbSpace.uniform(3)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cckit.convex
+from cckit import komlos
 from cckit import (
     InputError,
     NonConvergent,
@@ -55,6 +56,27 @@ def escaping_seq(horizon=64):
 
 def ambient_for(seq):
     return Polytope([seq.term(n) for n in range(1, seq.horizon + 1)])
+
+
+def diagonal_escaper(seed, noise=0.0, atoms=64, horizon=1024):
+    """f_n = n on one atom of a random eighth of the atoms, taken in turn
+    (the benchmark's escaper), over U(0, noise) on every other atom value;
+    six decimals, as the benchmark writes its terms."""
+    rng = np.random.default_rng(seed)
+    ring = rng.permutation(atoms)[:atoms // 8]
+    terms = rng.uniform(0.0, noise, size=(horizon, atoms))
+    n = np.arange(horizon)
+    terms[n, ring[n % ring.size]] = n + 1.0
+    return seq_from_values(ProbSpace.uniform(atoms), np.round(terms, 6))
+
+
+def geometric_seq(seed, atoms=16, horizon=256):
+    rng = np.random.default_rng(seed)
+    limit, start = rng.uniform(0.0, 2.0, size=(2, atoms))
+    ratio = rng.uniform(0.5, 0.9)
+    n = np.arange(1, horizon + 1)[:, None]
+    return seq_from_values(ProbSpace.uniform(atoms),
+                           np.round(limit + ratio ** n * (start - limit), 6))
 
 
 class TestSequenceSpec:
@@ -321,6 +343,135 @@ class TestExtractEscape:
         s = seq_from_values(U2, rows)
         limit, _ = extract(s, ambient_for(s), tol=1e-12)
         assert np.allclose(limit.values, [4.0, 0.0], atol=1e-9)
+
+
+class TestWarmStart:
+    """Each stage after the first starts from the previous maximizer's
+    weight on indices >= D; the gap, the bound u and the certificates are
+    measured as before."""
+
+    def test_escaper_counter_gate(self, monkeypatch):
+        # cold starts re-add the same 8 vertices at every stage: 80
+        # restricted solves and 4,758 Newton rounds on this escaper
+        solves, rounds = [], []
+        real_newton, real_lstsq = komlos._restricted_newton, np.linalg.lstsq
+
+        def newton(*args):
+            solves.append(1)
+            return real_newton(*args)
+
+        def lstsq(*args, **kwargs):
+            rounds.append(1)
+            return real_lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(komlos, "_restricted_newton", newton)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        s = diagonal_escaper(601)
+        with pytest.raises(Unbounded) as ei:
+            extract(s, ambient_for(s), tol=1e-6)
+        stages = int(np.log2(ei.value.certificate.combo_bound[-1]["D"])) + 1
+        assert len(rounds) <= 1000
+        assert len(solves) <= 8 + 2 * (stages - 1)
+
+    # noise 2.0 needs the restricted solve to re-solve without a blocked
+    # zero-weight column: held at t = 0 instead, seeds 0-2 and 4-5 ran
+    # into CG_VERTEX_CAP and raised SolverError
+    @pytest.mark.parametrize("seed, noise", [
+        (601, 0.0), (0, 0.5), (1, 0.5), (2, 0.5), (3, 0.5),
+        *((seed, 2.0) for seed in range(6)),
+    ])
+    def test_escape_verdict_and_certificate(self, seed, noise):
+        s = diagonal_escaper(seed, noise)
+        with pytest.raises(Unbounded) as ei:
+            extract(s, ambient_for(s), tol=1e-6)
+        cert = ei.value.certificate
+        assert len(cert.combo_bound) == 2
+        for inst in cert.combo_bound:
+            assert inst["holds"] is True and inst["precondition_verified"] is True
+            assert all(i >= inst["D"] for i in inst["indices"])
+            pts = [s.term(i) for i in inst["indices"]]
+            w = WeightVector([inst["weights"][str(i)] for i in inst["indices"]])
+            assert combo_mass_bound(pts, w, n=inst["n"], eps=inst["eps"]) is True
+
+    @pytest.mark.parametrize("build", [
+        lambda: geometric_seq(7),
+        lambda: diagonal_escaper(3, noise=0.5, atoms=8, horizon=64),
+        lambda: seq_from_values(U2, [[1.0 / n, 0.0] for n in range(1, 65)]),
+    ], ids=["geometric", "short_escaper", "slow"])
+    def test_stage_invariants(self, build):
+        s = build()
+        trace = []
+        real = komlos.ExtractState
+
+        def record(**kwargs):
+            trace.append(real(**kwargs))
+            return trace[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(komlos, "ExtractState", record)
+            try:
+                extract(s, ambient_for(s), tol=1e-6)
+            except (Unbounded, NonConvergent):
+                pass
+        assert len(trace) >= 3
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur.u <= prev.u
+        for state in trace:
+            assert all(n >= state.D for n in state.indices)
+            assert state.gamma <= state.u
+            assert np.max(np.abs(state.recombined().values - state.g.values)) <= 1e-10
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_warm_and_cold_agree(self, data):
+        # the warm start extract builds: the maximizer over a longer tail,
+        # cut to the columns of the shorter one and renormalized
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_atoms = data.draw(st.integers(2, 6))
+        m = data.draw(st.integers(2, 24))
+        head = data.draw(st.integers(1, m))
+        pool = rng.uniform(0.0, data.draw(st.sampled_from([0.5, 3.0, 40.0])),
+                           size=(n_atoms, head + m))
+        p = rng.uniform(0.1, 1.0, size=n_atoms)
+        p /= p.sum()
+        slack = data.draw(st.sampled_from([1e-2, 1e-4, 1e-7]))
+        w_long = komlos._maximize_tail_phi(pool, p, slack)[0][head:]
+        cols = np.nonzero(w_long)[0]
+        warm = (cols, w_long[cols] / w_long[cols].sum()) if cols.size else None
+        tail = pool[:, head:]
+        w_cold, g_cold, v_cold, gap_cold = komlos._maximize_tail_phi(tail, p, slack)
+        w_warm, g_warm, v_warm, gap_warm = komlos._maximize_tail_phi(
+            tail, p, slack, warm)
+        assert gap_cold <= slack and gap_warm <= slack
+        # each value is within its gap of the hull's supremum
+        assert abs(v_cold - v_warm) <= slack + 1e-12
+        for wf, gv in ((w_cold, g_cold), (w_warm, g_warm)):
+            assert np.all(wf >= 0.0) and abs(float(wf.sum()) - 1.0) <= 1e-12
+            assert np.max(np.abs(tail @ wf - gv)) <= 1e-9 * (1.0 + tail.max())
+
+    def test_restricted_solve_does_not_stall_on_a_blocked_column(self):
+        # more columns than atoms: the Newton step pushed the zero weight of
+        # the best column negative, the ratio test held it at t = 0, and the
+        # solve stayed at value 0.278 on columns 0-2
+        A = np.array([[0.29, 0.36, 0.12, 0.32], [0.33, 0.43, 0.10, 0.49]])
+        p = np.array([0.27, 0.73])
+        w = komlos._restricted_newton(A, p, np.array([0.47, 0.03, 0.33, 0.17]))
+        assert w.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert komlos._phi_mean(p, A @ w) == komlos._phi_mean(p, A[:, 3])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_best_vertex_matches_the_per_column_loop(self, seed):
+        # tails of a settling geometric sequence hold identical columns, and
+        # the random pools repeat columns on purpose: ties go to the lowest
+        rng = np.random.default_rng(seed)
+        s = geometric_seq(seed, atoms=64, horizon=1024)
+        V, p = s.values_matrix(1), s.space.probs
+        base = rng.uniform(0.0, 2.0, size=(64, 12))
+        pools = [V[:, D - 1:] for D in (1, 2, 64, 512, 1024)]
+        pools += [base[:, rng.integers(0, 12, size=40)] for _ in range(4)]
+        for pool in pools:
+            loop = [komlos._phi_mean(p, pool[:, j]) for j in range(pool.shape[1])]
+            assert komlos._best_vertex(pool, p) == int(np.argmax(loop))
 
 
 class TestDetectEscape:
