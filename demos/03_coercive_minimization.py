@@ -19,7 +19,9 @@ band = Polytope([RandVar(U2, [2.0, 0.0]), RandVar(U2, [0.0, 2.0])])
 fstar, value, report = minimize(PointwiseFunctional(U2, "x^2"), band, tol=1e-10)
 print("min E[f^2] s.t. E[f]=1, 0<=f<=2:")
 print("  f* =", fstar.values, " value =", value)
-print("  iterations:", report["iterations"], " net margin:", report["net_margin"])
+bound = "fw_gap" if report["certificate"] == "fw-gap" else "net_margin"
+print("  iterations:", report["iterations"], " certificate:",
+      report["certificate"], f" {bound}:", report[bound])
 
 # levels are maintained as a decreasing ladder, each a certified upper bound
 lv = report["levels"]
@@ -59,7 +61,8 @@ print("\nsaturating integrand: growth probe", rep["growth_probe"],
 print("raw grid rule on its own:", check_growth("1 - exp(0 - x)"))
 
 # every compact feasible set carries a finite certificate net -- the points
-# the optimizer uses to prove restarts are unnecessary
+# the optimizer falls back on, where the Frank-Wolfe gap does not apply, to
+# prove restarts are unnecessary
 net = certificate_net(band)
 print("\ncertificate net of the mean-one band:",
       [list(map(float, p.values)) for p in net])

@@ -152,12 +152,14 @@ def _cmd_minimize(obj: dict, tol: float) -> dict:
     func = functional_from_json(space, _require(obj, "functional"))
     C = set_from_json(space, _require(obj, "set"))
     x, value, report = minimize(func, C, tol)
+    bound = "fw_gap" if report["certificate"] == "fw-gap" else "net_margin"
     return {
         "minimizer": randvar_to_json(x),
         "value": value,
         "levels": report["levels"],
         "iterations": report["iterations"],
-        "net_margin": report["net_margin"],
+        "certificate": report["certificate"],
+        bound: report[bound],
         "restarts": report["restarts"],
     }
 

@@ -1,6 +1,8 @@
 """Constrained minimization, growth probes, and weak-coercivity reports."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from cckit import (
     Box,
     CurvatureError,
+    Expression,
     InputError,
     Intersection,
     LinearFunctional,
@@ -23,9 +26,13 @@ from cckit import (
     check_growth,
     coercivity_report,
     contains,
+    functional_from_json,
     lower_contour,
     minimize,
+    set_from_json,
+    space_from_json,
 )
+from cckit import coercive
 
 U2 = ProbSpace.uniform(2)
 
@@ -80,7 +87,9 @@ class TestMinimize:
         x, val, report = minimize(G, SEGMENT, 1e-8)
         assert val == pytest.approx(0.5, abs=1e-8)
         assert np.allclose(x.values, [1.0, 0.0], atol=1e-6)
-        assert report["net_margin"] >= -1e-8
+        assert report["certificate"] == "fw-gap"
+        assert 0.0 <= report["fw_gap"] <= 0.25e-8
+        assert "net_margin" not in report
 
     def test_quadratic_interior_minimum(self):
         Q = QuadraticFunctional(U2, np.eye(2))
@@ -102,9 +111,12 @@ class TestMinimize:
         Q = QuadraticFunctional(U2, np.eye(2))
         C = Intersection([Box(rv([0.0, 0.0]), rv([2.0, 2.0])), lower_contour(Q, 0.25)])
         L = LinearFunctional(U2, [-1.0, -2.0])
-        x, val, _ = minimize(L, C, 1e-7)
+        x, val, report = minimize(L, C, 1e-7)
         assert val == pytest.approx(-math.sqrt(1.25), abs=1e-6)
         assert np.allclose(x.values, [1 / math.sqrt(5), 2 / math.sqrt(5)], atol=1e-4)
+        # an intersection has no Frank-Wolfe gap: the net certifies it
+        assert report["certificate"] == "net"
+        assert report["net_margin"] >= -0.25e-7
 
     def test_levels_are_nonincreasing(self):
         Q = QuadraticFunctional(U2, np.eye(2))
@@ -165,6 +177,155 @@ class TestMinimize:
         _, val, _ = minimize(G, SEGMENT, 1e-8)
         best = min(G.value(g) for g in SEGMENT.generators)
         assert val == pytest.approx(best, abs=1e-7)
+
+
+GEN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def _benchmark_instance(seed, name):
+    """One instance of the benchmark's ``optimize`` workload, built by its
+    seeded generator (loaded read-only, as tests/test_tracing.py loads the
+    tracer): (functional, set, tol)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PY)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    (inst,) = [i for i in gen.build("optimize", seed) if i["name"] == name]
+    body = inst["body"]
+    space = space_from_json(body["space"])
+    tol = float(inst["flags"][inst["flags"].index("--tol") + 1])
+    return (functional_from_json(space, body["functional"]),
+            set_from_json(space, body["set"]), tol)
+
+
+def _independent_fw_gap(functional, C, x):
+    """max over the corners of a box (or the generators of a polytope) v of
+    E[grad G(x) (x - v)], one corner at a time."""
+    g = functional.grad(x)
+    p = x.space.probs
+    return max(
+        sum(p[i] * g[i] * (x.values[i] - v.values[i]) for i in range(x.space.n))
+        for v in certificate_net(C)
+    )
+
+
+def _random_instance(data, shape):
+    n = data.draw(st.integers(1, 6), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    kind = data.draw(st.sampled_from(("linear", "quadratic", "x^2", "exp(x) - x")),
+                     label="kind")
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, size=n)
+    space = ProbSpace([f"w{i}" for i in range(n)], list(w / w.sum()))
+    p = np.asarray(space.probs)
+    if shape == "box":
+        lower = rng.uniform(0.0, 2.0, size=n)
+        C = Box(RandVar(space, lower),
+                RandVar(space, lower + rng.uniform(0.1, 2.0, size=n)))
+    else:
+        k = data.draw(st.integers(1, 5), label="generators")
+        C = Polytope([RandVar(space, g) for g in rng.uniform(0.0, 2.0, size=(k, n))])
+    if kind == "linear":
+        G = LinearFunctional(space, rng.uniform(-2.0, 2.0, size=n))
+    elif kind == "quadratic":
+        M = rng.standard_normal((n, n))
+        rp = np.sqrt(p)
+        # self-adjoint for E[uv]: p_i A_ij = rp_i rp_j (M^T M)_ij / n
+        A = ((M.T @ M / n) / rp[:, None]) * rp[None, :]
+        G = QuadraticFunctional(space, A, rng.uniform(-1.0, 1.0, size=n))
+    else:
+        G = PointwiseFunctional(space, kind)
+    return G, C
+
+
+class TestFrankWolfeCertificate:
+    """On boxes and polytopes the descent stops on the Frank-Wolfe gap
+    max_{s in C} E[grad G(x) (x - s)] <= tol/4, which bounds G(x) - min_C G."""
+
+    @pytest.mark.parametrize("seed, name", [
+        (201, "min_pointwise_04"),   # (x-1.5)^2 + 0.1*x on a 64-atom box
+        (509, "min_quadratic_02"),   # quadratic on a 2n-generator polytope
+    ])
+    def test_benchmark_runaways_certify_fast(self, monkeypatch, seed, name):
+        # neither can meet the gradient-mapping rule, which alone runs the
+        # whole 100000-iteration budget; a small budget makes such a
+        # descent fail fast instead of running for minutes
+        monkeypatch.setattr(coercive, "MINIMIZE_BUDGET", 500)
+        G, C, tol = _benchmark_instance(seed, name)
+        x, val, report = minimize(G, C, tol)
+        assert report["iterations"] <= 200
+        assert report["certificate"] == "fw-gap"
+        assert 0.0 <= report["fw_gap"] <= 0.25 * tol
+        if isinstance(C, Box):
+            # (x - 1.5)^2 + 0.1 x is least at 1.45: clamp that into the box
+            best = np.clip(1.45, C.lower.values, C.upper.values)
+            closed = float(np.dot(C.space.probs,
+                                  (best - 1.5) ** 2 + 0.1 * best))
+            assert abs(val - closed) <= tol
+
+    def test_descent_below_rounding_stalls_instead_of_cycling(self, monkeypatch):
+        # exp(x) - x on a 3-generator polytope at tol 1e-8: the gap cannot
+        # reach tol/4 through value comparisons, and accepting steps that
+        # leave the value unchanged lets two points trade places for the
+        # whole budget; a stall hands over to the net at once
+        monkeypatch.setattr(coercive, "MINIMIZE_BUDGET", 500)
+        rng = np.random.default_rng(0)
+        w = rng.uniform(0.5, 2.0, size=6)
+        space = ProbSpace([f"w{i}" for i in range(6)], list(w / w.sum()))
+        C = Polytope([RandVar(space, g) for g in rng.uniform(0.0, 2.0, size=(3, 6))])
+        G = PointwiseFunctional(space, "exp(x) - x")
+        x, val, report = minimize(G, C, 1e-8)
+        assert report["iterations"] <= 50
+        assert val <= min(G.value(v) for v in C.generators) + 0.25e-8
+        assert contains(C, x, 2e-8)
+
+    def test_box_solve_needs_no_net(self, monkeypatch):
+        # exp(x) - x on a 64-atom box: the midpoint scan (100 pairs of
+        # 3 x 64 evaluations) is most of it; scoring the 4098-point net
+        # would add 262,272 more
+        G, C, tol = _benchmark_instance(601, "min_pointwise_00")
+        assert G.expr.src == "exp(x) - x" and C.space.n == 64
+        calls = [0]
+        original = Expression.eval
+
+        def counted(self, env):
+            calls[0] += 1
+            return original(self, env)
+        monkeypatch.setattr(Expression, "eval", counted)
+        _, _, report = minimize(G, C, tol)
+        assert report["certificate"] == "fw-gap"
+        assert calls[0] <= 25_000
+
+    @given(data=st.data(), shape=st.sampled_from(("box", "polytope")))
+    @settings(max_examples=60, deadline=None)
+    def test_gap_certificate_agrees_with_the_net(self, data, shape):
+        G, C = _random_instance(data, shape)
+        tol = 1e-7
+        x, val, report = minimize(G, C, tol)
+        assert val == G.value(x)
+        net_best = min(G.value(v) for v in certificate_net(C))
+        assert val <= net_best + 0.25 * tol
+        if report["certificate"] == "net":
+            # the Armijo test compares values, so a descent can stall while
+            # the gap is still above tol/4 (an optimum inside a polytope
+            # face, seldom at this tol); the net then certifies the value
+            assert report["net_margin"] == net_best - val
+            return
+        assert report["certificate"] == "fw-gap"
+        gap = report["fw_gap"]
+        assert 0.0 <= gap <= 0.25 * tol
+        assert gap == pytest.approx(_independent_fw_gap(G, C, x),
+                                    rel=1e-9, abs=1e-15)
+
+    def test_intersection_with_a_pointwise_contour(self):
+        # min E[-f] over {0 <= f <= 2, E[f^2] <= 1/2}: by Cauchy-Schwarz
+        # E[f] <= sqrt(E[f^2]), so the constant sqrt(1/2) is optimal. The
+        # contour is projected through the pointwise scalar prox.
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        C = Intersection([box, lower_contour(PointwiseFunctional(U2, "x^2"), 0.5)])
+        x, val, report = minimize(LinearFunctional(U2, [-1.0, -1.0]), C, 1e-7)
+        assert val == pytest.approx(-math.sqrt(0.5), abs=1e-7)
+        assert np.allclose(x.values, math.sqrt(0.5), atol=1e-6)
+        assert report["certificate"] == "net"
 
 
 class TestCertificateNet:

@@ -12,6 +12,7 @@ from cckit import (
     InputError,
     Intersection,
     LinearFunctional,
+    PointwiseFunctional,
     Polytope,
     ProbSpace,
     QuadraticFunctional,
@@ -249,6 +250,35 @@ class TestSublevel:
             "midpoint convexity violated on sampled pair #18: "
             "G(mid)=-0.0 > avg=-0.00564421674052211"
         )
+
+    @given(
+        y=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3),
+        level=st.floats(0.05, 4.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_pointwise_projection_scales_onto_the_contour(self, y, level):
+        # the nearest point of {x >= 0 : E[x^2] <= L} to y >= 0 is
+        # y sqrt(L / E[y^2]) when E[y^2] > L; the pointwise sublevel
+        # reaches it through the scalar prox
+        sp = uspace(len(y))
+        f = RandVar(sp, np.array(y))
+        prox_calls = [0]
+        prox = cckit.convex._scalar_prox
+
+        def counted(*args):
+            prox_calls[0] += 1
+            return prox(*args)
+        lvl = Sublevel(sp, PointwiseFunctional(sp, "x^2"), level)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cckit.convex, "_scalar_prox", counted)
+            pr = project(lvl, f, 1e-10)
+        mean_sq = float(np.dot(sp.probs, f.values ** 2))
+        if mean_sq > level:
+            want = f.values * np.sqrt(level / mean_sq)
+            assert prox_calls[0] > 0
+        else:
+            want = f.values
+        assert np.abs(pr.values - want).max() <= 1e-6
 
 
 class TestIntersection:
