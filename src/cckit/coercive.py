@@ -243,17 +243,17 @@ def _reference(C: ConvexSetRep) -> RandVar:
 
 def _fw_gap(C: ConvexSetRep, x: RandVar, grad: np.ndarray):
     """The Frank-Wolfe gap max_{s in C} E[grad (x - s)] on a box or a
-    polytope, None on any other set. For convex G and x in C it bounds
-    G(x) - min_C G. Fixed-order axis reductions keep its bits the same
-    across CPU dispatch."""
+    polytope, None on any other set. For convex G it bounds G(x) - min_C G;
+    for x in C it is >= 0, so a negative sum is rounding and reads 0.
+    Fixed-order axis reductions keep its bits the same across CPU dispatch."""
     pg = x.space.probs * grad
     if isinstance(C, Box):
         s = np.where(pg > 0.0, C.lower.values, C.upper.values)
-        return float((pg * (x.values - s)).sum())
+        return max(0.0, float((pg * (x.values - s)).sum()))
     if isinstance(C, Polytope):
         d = x.values[:, None] - C._cols
         d *= pg[:, None]  # in place: one n-by-k temporary
-        return float(d.sum(axis=0).max())
+        return max(0.0, float(d.sum(axis=0).max()))
     return None
 
 
@@ -311,32 +311,20 @@ def _projected_descent(functional, C, x, value, tol, levels, budget):
 # ---------------------------------------------------------------------------
 
 def _affine_minorant_pointwise(functional: PointwiseFunctional):
-    """An affine minorant Phi(x) >= D + delta*x (x >= 0) with delta > 0,
-    anchored at the first grid point whose chord slope is positive. The
-    chord of a convex map lies below it outside the sampled bracket;
-    inside, the measured excess is subtracted from the intercept. Every
-    candidate is re-validated on the growth probe grid (plus the low end),
-    so a map that merely looked convex cannot ship an unsound bound.
+    """An affine minorant Phi(x) >= D + delta*x (x >= 0) with delta > 0: the
+    tangent at the first anchor a with Phi'(a) > 0, below Phi if convex.
+    Each candidate is re-validated on the growth probe grid (plus the low
+    end), so a map that merely looked convex cannot ship an unsound bound.
     Returns (D, delta, anchor) or None."""
-    h = 1e-6
     for a in (0.5, 1.0, 2.0, 4.0, 16.0, 64.0, 256.0, 1024.0):
-        lo, hi = a - h, a + h
         try:
-            phi_lo = functional.scalar(lo)
-            phi_hi = functional.scalar(hi)
+            phi_a = functional.scalar(a)
+            delta = functional.expr.derivative({"x": a}, "x")
         except DomainError:
             continue
-        delta = (phi_hi - phi_lo) / (hi - lo)
         if delta <= 1e-12:
             continue
-        D = phi_lo - delta * lo
-        # inside-bracket correction: chord may sit above Phi by O(h^2)
-        xs = np.linspace(lo, hi, 65)
-        excess = max(
-            (D + delta * float(x)) - functional.scalar(float(x)) for x in xs
-        )
-        if excess > 0.0:
-            D -= 2.0 * excess + 1e-15 * (1.0 + abs(D))
+        D = phi_a - delta * a
         if _minorant_holds_on_grid(functional, D, delta):
             return D, delta, a
     return None

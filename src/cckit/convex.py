@@ -507,23 +507,17 @@ def set_from_json(space: ProbSpace, obj: dict) -> ConvexSetRep:
 
 
 def _scalar_prox(functional, fi: float, mu: float) -> float:
-    """argmin over x >= 0 of (x - fi)^2/2 + mu * Phi(x), Phi the pointwise map."""
-    h = 1e-6
-
-    def dphi(x):
-        return (functional.scalar(x + h) - functional.scalar(max(0.0, x - h))) / (
-            x + h - max(0.0, x - h)
-        )
-
+    """argmin over x >= 0 of (x - fi)^2/2 + mu * Phi(x), Phi the pointwise map:
+    bisection on its nondecreasing derivative down to float resolution."""
     def deriv(x):
-        return (x - fi) + mu * dphi(x)
+        return (x - fi) + mu * functional.expr.derivative({"x": x}, "x")
 
     lo, hi = 0.0, max(fi, 1.0)
     if deriv(lo) >= 0.0:
         return 0.0
     while deriv(hi) < 0.0 and hi < 1e12:
         hi *= 2.0
-    for _ in range(100):
+    while hi - lo > 1e-15 * (1.0 + hi):
         mid = 0.5 * (lo + hi)
         if deriv(mid) < 0.0:
             lo = mid

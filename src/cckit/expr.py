@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 
+#: one-argument functions with their derivatives f'(x), given x and f(x)
 _FUNCS_1 = {
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
+    "exp": (math.exp, lambda x, v: v),
+    "log": (math.log, lambda x, v: 1.0 / x),
+    "sqrt": (math.sqrt, lambda x, v: 0.5 / v),
+    "abs": (abs, lambda x, v: (x > 0.0) - (x < 0.0)),
 }
 _FUNCS_N = {"max": max, "min": min}
 
@@ -207,15 +208,19 @@ class Expression:
             raise DomainError(f"expression {self.src!r} evaluated to {v!r}")
         return v
 
-    def derivative(self, env: dict, wrt: str, h: float = 1e-6) -> float:
-        """Central finite difference in the variable ``wrt``."""
-        lo = dict(env)
-        hi = dict(env)
-        x = env[wrt]
-        step = h * max(1.0, abs(x))
-        lo[wrt] = x - step
-        hi[wrt] = x + step
-        return (self.eval(hi) - self.eval(lo)) / (2.0 * step)
+    def derivative(self, env: dict, wrt: str) -> float:
+        """Exact d/d(wrt), forward mode: one walk that computes each value as
+        ``eval`` does and carries the one-sided derivatives, so kinks compose.
+        Returns their mean, a subgradient at a kink (``abs`` at 0 gives 0; a
+        ``max``/``min`` tie of two smooth arguments, their mean derivative).
+        ``DomainError`` where it is undefined (``sqrt`` at 0, ``0 ^ b`` with
+        b < 1, a base <= 0 under a variable exponent) or not finite; a
+        subexpression that does not vary contributes 0 wherever defined."""
+        v, p, m = _eval_d(self.ast, env, wrt, self.src)
+        d = 0.5 * (p - m)
+        if not (math.isfinite(v) and math.isfinite(d)):
+            raise DomainError(f"{self.src!r}: value {v!r}, derivative {d!r}")
+        return d
 
     def __repr__(self):
         return f"Expression({self.src!r})"
@@ -237,6 +242,33 @@ def _collect_vars(node) -> set:
     return _collect_vars(node[2]) | _collect_vars(node[3])
 
 
+def _call(name: str, args: list) -> float:
+    try:
+        if name in _FUNCS_1:
+            return _FUNCS_1[name][0](args[0])
+        return _FUNCS_N[name](*args)
+    except ValueError as exc:
+        raise DomainError(f"{name}({args[0]!r}) is undefined") from exc
+    except OverflowError as exc:
+        raise DomainError(f"{name} overflowed") from exc
+
+
+def _div(lhs: float, rhs: float) -> float:
+    if rhs == 0.0:
+        raise DomainError("division by zero")
+    return lhs / rhs
+
+
+def _pow(lhs: float, rhs: float) -> float:
+    try:
+        v = lhs ** rhs
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{lhs!r} ^ {rhs!r} is undefined") from exc
+    if isinstance(v, complex):
+        raise DomainError(f"{lhs!r} ^ {rhs!r} is not real")
+    return v
+
+
 def _eval(node, env: dict, src: str) -> float:
     tag = node[0]
     if tag == "num":
@@ -249,16 +281,7 @@ def _eval(node, env: dict, src: str) -> float:
     if tag == "neg":
         return -_eval(node[1], env, src)
     if tag == "call":
-        name = node[1]
-        args = [_eval(a, env, src) for a in node[2]]
-        try:
-            if name in _FUNCS_1:
-                return _FUNCS_1[name](args[0])
-            return _FUNCS_N[name](*args)
-        except ValueError as exc:
-            raise DomainError(f"{name}({args[0]!r}) is undefined") from exc
-        except OverflowError as exc:
-            raise DomainError(f"{name} overflowed") from exc
+        return _call(node[1], [_eval(a, env, src) for a in node[2]])
     _, op, lhs_n, rhs_n = node
     lhs = _eval(lhs_n, env, src)
     rhs = _eval(rhs_n, env, src)
@@ -269,14 +292,52 @@ def _eval(node, env: dict, src: str) -> float:
     if op == "*":
         return lhs * rhs
     if op == "/":
-        if rhs == 0.0:
-            raise DomainError("division by zero")
-        return lhs / rhs
-    # power
-    try:
-        v = lhs ** rhs
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"{lhs!r} ^ {rhs!r} is undefined") from exc
-    if isinstance(v, complex):
-        raise DomainError(f"{lhs!r} ^ {rhs!r} is not real")
-    return v
+        return _div(lhs, rhs)
+    return _pow(lhs, rhs)
+
+
+def _eval_d(node, env: dict, wrt: str, src: str):
+    """(value, p, m): ``_eval``'s value with its directional derivatives
+    along +1 and -1 in ``wrt``, which compose through kinks (smooth: m = -p)."""
+    tag = node[0]
+    if tag == "num":
+        return node[1], 0.0, 0.0
+    if tag == "var":
+        p = float(node[1] == wrt)
+        return _eval(node, env, src), p, -p
+    if tag == "neg":
+        v, p, m = _eval_d(node[1], env, wrt, src)
+        return -v, -p, -m
+    if tag == "call":
+        name = node[1]
+        args = [_eval_d(a, env, wrt, src) for a in node[2]]
+        v = _call(name, [a[0] for a in args])
+        if name in _FUNCS_N:  # the tying arguments' extreme slope, each way
+            ties = [a for a in args if a[0] == v] or [(v, math.nan, math.nan)]
+            pick = _FUNCS_N[name]
+            return v, pick(a[1] for a in ties), pick(a[2] for a in ties)
+        (x, p, m), = args
+        if not (p or m) or name == "abs" and x == 0.0:  # constant, or abs' kink
+            return v, abs(p), abs(m)
+        if name == "sqrt" and v == 0.0:
+            raise DomainError(f"sqrt has no derivative at 0 in {src!r}")
+        f1 = _FUNCS_1[name][1](x, v)
+        return v, f1 * p, f1 * m
+    _, op, lhs_n, rhs_n = node
+    lhs, pl, ml = _eval_d(lhs_n, env, wrt, src)
+    rhs, pr, mr = _eval_d(rhs_n, env, wrt, src)
+    if op == "+":
+        return lhs + rhs, pl + pr, ml + mr
+    if op == "-":
+        return lhs - rhs, pl - pr, ml - mr
+    if op == "*":
+        return lhs * rhs, pl * rhs + lhs * pr, ml * rhs + lhs * mr
+    if op == "/":
+        v = _div(lhs, rhs)
+        return v, (pl - v * pr) / rhs, (ml - v * mr) / rhs
+    v = _pow(lhs, rhs)
+    if (pr or mr) and not lhs > 0.0:
+        raise DomainError(f"{lhs!r} ^ b has no derivative in b in {src!r}")
+    f1 = rhs * _pow(lhs, rhs - 1.0) if pl or ml else 0.0
+    g1 = v * math.log(lhs) if pr or mr else 0.0
+    return v, f1 * pl + g1 * pr, f1 * ml + g1 * mr

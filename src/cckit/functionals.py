@@ -12,8 +12,7 @@ the quadratic is A f + b. For that to hold the quadratic matrix must be
 self-adjoint for the weighted inner product (p_i A_ij = p_j A_ji) and
 positive semidefinite; construction validates both and refuses
 indefinite input. Pointwise maps come from the small expression
-language (one free variable) and their gradients use central finite
-differences.
+language (one free variable), with exact forward-mode gradients.
 """
 from __future__ import annotations
 

@@ -213,17 +213,23 @@ def _random_instance(data, shape):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     kind = data.draw(st.sampled_from(("linear", "quadratic", "x^2", "exp(x) - x")),
                      label="kind")
+    k = data.draw(st.integers(1, 5), label="generators") if shape == "polytope" else 0
+    return _seeded_instance(n, seed, kind, k)
+
+
+def _seeded_instance(n, seed, kind, generators):
+    """A box (``generators`` 0) or a polytope on n atoms, and an objective."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 2.0, size=n)
     space = ProbSpace([f"w{i}" for i in range(n)], list(w / w.sum()))
     p = np.asarray(space.probs)
-    if shape == "box":
+    if generators == 0:
         lower = rng.uniform(0.0, 2.0, size=n)
         C = Box(RandVar(space, lower),
                 RandVar(space, lower + rng.uniform(0.1, 2.0, size=n)))
     else:
-        k = data.draw(st.integers(1, 5), label="generators")
-        C = Polytope([RandVar(space, g) for g in rng.uniform(0.0, 2.0, size=(k, n))])
+        C = Polytope([RandVar(space, g)
+                      for g in rng.uniform(0.0, 2.0, size=(generators, n))])
     if kind == "linear":
         G = LinearFunctional(space, rng.uniform(-2.0, 2.0, size=n))
     elif kind == "quadratic":
@@ -294,6 +300,25 @@ class TestFrankWolfeCertificate:
         _, _, report = minimize(G, C, tol)
         assert report["certificate"] == "fw-gap"
         assert calls[0] <= 25_000
+
+    def test_gradient_is_exact_under_a_large_offset(self):
+        # a central difference of x^2 + 1e12 cancels to 0, which would
+        # certify the start point (1.25, 1.25) with fw_gap 0, 1.3125 above
+        # the minimum at the lower corner
+        G = PointwiseFunctional(U2, "x^2 + 1e12")
+        x, val, report = minimize(G, Box(rv([0.5, 0.5]), rv([2.0, 2.0])), 1e-6)
+        assert report["certificate"] == "fw-gap"
+        assert np.abs(x.values - 0.5).max() <= 1e-6
+
+    def test_rounded_negative_gap_reads_zero(self):
+        # found by the differential below: x^2 on a 2-generator polytope over
+        # 5 atoms ends on an edge, where the gap sums to -1.1e-16; for a point
+        # of C the gap is >= 0, so that is rounding
+        G, C = _seeded_instance(5, 4294967295, "x^2", 2)
+        tol = 1e-7
+        _, _, report = minimize(G, C, tol)
+        assert report["certificate"] == "fw-gap"
+        assert 0.0 <= report["fw_gap"] <= 0.25 * tol
 
     @given(data=st.data(), shape=st.sampled_from(("box", "polytope")))
     @settings(max_examples=60, deadline=None)

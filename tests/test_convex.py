@@ -9,6 +9,7 @@ import cckit.convex
 from cckit import (
     Box,
     CurvatureError,
+    Expression,
     InputError,
     Intersection,
     LinearFunctional,
@@ -279,6 +280,20 @@ class TestSublevel:
         else:
             want = f.values
         assert np.abs(pr.values - want).max() <= 1e-6
+
+    def test_scalar_prox_stops_at_float_resolution(self, monkeypatch):
+        # argmin over x >= 0 of (x - 3)^2/2 + 0.5 x^2 is 1.5; the bisection
+        # on the derivative stops once hi - lo <= 1e-15 (1 + hi), about 50
+        # steps of one exact derivative each
+        calls = [0]
+        for name in ("eval", "derivative"):
+            def counted(self, *args, _original=getattr(Expression, name)):
+                calls[0] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(Expression, name, counted)
+        G = PointwiseFunctional(uspace(1), "x^2", declared_convex=False)
+        assert cckit.convex._scalar_prox(G, 3.0, 0.5) == pytest.approx(1.5, rel=1e-14)
+        assert calls[0] <= 64
 
 
 class TestIntersection:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cckit import DomainError, Expression, ParseError
+from cckit.expr import _eval_d
 
 
 class TestParse:
@@ -60,12 +61,99 @@ class TestEval:
         with pytest.raises(DomainError):
             Expression("(0-2) ^ 0.5").eval({})
 
-    def test_derivative_fd(self):
-        e = Expression("x^2")
-        assert e.derivative({"x": 3.0}, "x") == pytest.approx(6.0, abs=1e-5)
-        assert Expression("exp(x)").derivative({"x": 1.0}, "x") == pytest.approx(
-            math.e, rel=1e-5
-        )
+
+class TestDerivative:
+    """``derivative`` is exact: forward mode, carrying the one-sided
+    derivatives so that kinks compose."""
+
+    @pytest.mark.parametrize("src, x, want", [
+        ("x + 3", 2.0, 1.0),
+        ("5 - x", 2.0, -1.0),
+        ("x * x", 3.0, 6.0),
+        ("1 / x", 2.0, -0.25),
+        ("x / (1 + x)", 1.0, 0.25),
+        ("-x", 1.5, -1.0),
+        ("x ^ 3", 2.0, 12.0),
+        ("x^2", 3.0, 6.0),
+        ("x ^ 0.5", 4.0, 0.25),
+        ("x ^ 1", 0.0, 1.0),
+        ("2 ^ x", 3.0, 8.0 * math.log(2.0)),
+        ("x ^ x", 2.0, 4.0 * (math.log(2.0) + 1.0)),
+        ("exp(x)", 1.0, math.e),
+        ("log(x)", 4.0, 0.25),
+        ("sqrt(x)", 4.0, 0.25),
+        ("abs(x)", -2.0, -1.0),
+        ("abs(x)", 2.0, 1.0),
+        ("max(x, 1, 2 * x)", 3.0, 2.0),
+        ("min(x, 1, 2 * x)", 3.0, 0.0),
+        ("exp(2 * x) * log(x)", 1.0, math.exp(2.0)),
+        # a central difference cancels against the offset and returns 0
+        ("x^2 + 1e12", 1.0, 2.0),
+        # constant subexpressions contribute 0, even where their own
+        # derivative in x would be undefined
+        ("x + sqrt(0) + 0 ^ 0.5", 1.0, 1.0),
+    ])
+    def test_rules_by_hand(self, src, x, want):
+        assert Expression(src).derivative({"x": x}, "x") == pytest.approx(
+            want, rel=1e-14)
+
+    def test_other_variables_are_held_fixed(self):
+        e = Expression("x * y + exp(x)")
+        assert e.derivative({"x": 2.0, "y": 3.0}, "y") == 2.0
+        assert e.derivative({"x": 0.0, "y": 3.0}, "x") == 4.0
+
+    @pytest.mark.parametrize("src, x, want", [
+        ("abs(x)", 0.0, 0.0),
+        ("abs(x - 1)", 1.0, 0.0),
+        ("max(x, 0)", 0.0, 0.5),
+        ("min(x, 2 - x)", 1.0, 0.0),
+        ("max(x, 0, 3 * x)", 0.0, 1.5),       # right slope 3, left slope 0
+        ("max(abs(x), 2 * x)", 0.0, 0.5),     # right slope 2, left slope -1
+        ("max(x, -abs(x))", 0.0, 1.0),        # the identity map
+        ("min(x, max(1, x))", 1.0, 1.0),      # the identity map
+    ])
+    def test_a_kink_takes_the_mean_of_the_one_sided_derivatives(self, src, x, want):
+        e = Expression(src)
+        assert e.derivative({"x": x}, "x") == want
+        # which is what a central difference returns there
+        h = 1e-6
+        central = (e.eval({"x": x + h}) - e.eval({"x": x - h})) / (2.0 * h)
+        assert central == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("src, x", [
+        ("sqrt(x)", 0.0),
+        ("sqrt(max(x, 0))", 0.0),   # infinite from the right only
+        ("x ^ 0.5", 0.0),
+        ("x ^ 0", 0.0),
+        ("(x - 2) ^ x", 2.0),       # base 0 under a variable exponent
+        ("(0 - 2) ^ x", 2.0),       # base < 0: the value 4 is defined
+        ("log(x)", 0.0),
+        ("1e200 * x ^ 0.5", 1e-250),  # finite value, infinite derivative
+        ("exp(x)", 710.0),
+    ])
+    def test_undefined_derivative_raises_domain_error(self, src, x):
+        with pytest.raises(DomainError):
+            Expression(src).derivative({"x": x}, "x")
+
+    def test_no_step_parameter(self):
+        with pytest.raises(TypeError):
+            Expression("x").derivative({"x": 1.0}, "x", 1e-6)
+
+
+def _random_source(rng, depth):
+    """A source string of the grammar over TestFuzzTotality's digits,
+    operators and x, with every function name."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return str(rng.choice(["x", "x", "x", "0", "1", "2", "7", "0.5", "3.25", "1e3"]))
+    if r < 0.65:
+        op = "+-*/^"[rng.integers(5)]
+        return f"({_random_source(rng, depth - 1)} {op} {_random_source(rng, depth - 1)})"
+    if r < 0.72:
+        return "-" + _random_source(rng, depth - 1)
+    name = str(rng.choice(["exp", "log", "sqrt", "abs", "max", "min"]))
+    arity = 2 if name in ("max", "min") else 1
+    return f"{name}({', '.join(_random_source(rng, depth - 1) for _ in range(arity))})"
 
 
 class TestFuzzTotality:
@@ -89,6 +177,46 @@ class TestFuzzTotality:
             Expression(s)
         except ParseError:
             pass
+
+    def test_derivative_differential(self):
+        # on random expressions: the derivative walk computes eval's value
+        # bit for bit, raises nothing but DomainError, and agrees to 1e-5
+        # with a central difference wherever that difference is trustworthy:
+        # |value| <= 1e6, steps h and 4h agree, and no kink lies at x (the
+        # cases above cover kinks) or, by the one-sided differences, within h
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        for _ in range(1500):
+            e = Expression(_random_source(rng, 4))
+            for x in (-2.5, -1.0, 0.0, 0.3, 1.0, 2.0, 7.5):
+                env = {"x": x}
+                try:
+                    v = e.eval(env)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        e.derivative(env, "x")
+                    continue
+                try:
+                    value, right, minus_left = _eval_d(e.ast, env, "x", e.src)
+                    d = e.derivative(env, "x")
+                except DomainError:
+                    continue
+                assert value.hex() == v.hex(), e.src
+                h = 1e-6 * max(1.0, abs(x))
+                try:
+                    lo, hi = e.eval({"x": x - h}), e.eval({"x": x + h})
+                    wide = (e.eval({"x": x + 4 * h}) - e.eval({"x": x - 4 * h})) / (8 * h)
+                except DomainError:
+                    continue
+                central = (hi - lo) / (2 * h)
+                scale = max(1.0, abs(central))
+                if (abs(v) > 1e6 or right != -minus_left
+                        or abs(central - wide) > 1e-6 * scale
+                        or abs((hi - v) - (v - lo)) / h > 1e-3 * scale):
+                    continue
+                checked += 1
+                assert abs(d - central) <= 1e-5 * max(1.0, abs(d)), (e.src, x)
+        assert checked > 5000
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=200, deadline=None)
