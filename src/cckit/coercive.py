@@ -13,10 +13,10 @@ ends any other way, are certified against a vertex/grid net of C
 instead, restarting from any better net point.
 
 ``check_growth`` probes the at-least-linear-growth condition
-liminf Phi(x)/x > 0 on the grid x = 2^4 .. 2^24 (probe-grid evidence,
-never a proof), and ``coercivity_report`` turns a probe value lambda_0
-into an explicit L1 bound on the lower-contour set via an affine
-minorant Phi(x) >= D + delta*x with delta > 0: members f of
+liminf Phi(x)/x > 0 on the grid x = 2^4 .. 2^24 up to any overflow
+(probe-grid evidence, never a proof), and ``coercivity_report`` turns a
+probe value lambda_0 into an explicit L1 bound on the lower-contour set
+via an affine minorant Phi(x) >= D + delta*x with delta > 0: members f of
 {G <= lambda_0} then satisfy E[f] <= (lambda_0 - D)/delta, which is the
 finite-scale reading of "bounded in L1, hence in probability".
 
@@ -87,17 +87,23 @@ _SPOT_SEED = 20240902
 def check_growth(phi_expr) -> bool:
     """Probe-grid surrogate of liminf Phi(x)/x > 0.
 
-    True iff min over x in {2^4 .. 2^24} of Phi(x)/x exceeds 1e-9.
-    Finite probes cannot certify a liminf; treat the verdict as
-    probe-grid evidence only.
+    True iff min over x in {2^4 .. 2^24} before the first overflow of Phi
+    of Phi(x)/x exceeds 1e-9 (False if Phi overflows at 2^4); a domain
+    hole raises ``DomainError``. Finite probes cannot certify a liminf;
+    treat the verdict as probe-grid evidence only.
     """
     if isinstance(phi_expr, str):
         phi_expr = Expression(phi_expr)
-    worst = math.inf
+    ratios = []
     for k in GROWTH_GRID_EXPONENTS:
         x = float(2 ** k)
-        worst = min(worst, phi_expr.eval({"x": x}) / x)
-    return worst > GROWTH_RATIO_FLOOR
+        try:
+            ratios.append(phi_expr.eval({"x": x}) / x)
+        except DomainError as exc:
+            if not isinstance(exc.__cause__, OverflowError):
+                raise
+            break
+    return bool(ratios) and min(ratios) > GROWTH_RATIO_FLOOR
 
 
 def lower_contour(functional, level: float) -> Sublevel:

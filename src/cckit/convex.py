@@ -13,9 +13,9 @@ against a generator, else by a feasibility program over the weight
 simplex (active-set least squares, deterministic lowest-index
 tie-breaks), Sublevel by evaluating the functional, Box and Intersection
 componentwise. Projections: exact clamp for boxes, the
-simplex program for polytopes, closed-form halfspace or multiplier
-bisection for sublevel sets, and Dykstra's alternating scheme for
-intersections. Iterative routines fail loudly on budget exhaustion.
+simplex program for polytopes, the functional's own ``prox`` at the
+least feasible multiplier for sublevel sets, and Dykstra's alternating
+scheme for intersections. Iterative routines fail loudly on budget exhaustion.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, CurvatureError, InputError, SolverError
-from .functionals import functional_from_json, midpoint_scan
+from .functionals import functional_from_json, midpoint_scan, monotone_root
 from .measure import ProbSpace, RandVar, norm, randvar_from_json, randvar_to_json
 
 #: iteration cap for the active-set weight program
@@ -90,10 +90,6 @@ class ConvexSetRep:
 
     def _project(self, f: RandVar, tol: float) -> RandVar:
         raise NotImplementedError
-
-    def distance(self, f: RandVar, tol: float = 1e-9) -> float:
-        """Weighted-norm distance from f to the set (via projection)."""
-        return norm(f - self._project(f, tol))
 
 
 class Polytope(ConvexSetRep):
@@ -175,7 +171,8 @@ class Sublevel(ConvexSetRep):
 
     Construction spot-checks the midpoint inequality on pairs drawn
     uniformly from the box [0, 10]^n and refuses the representation when a
-    violation shows up.
+    violation shows up. Projection: G.prox(f, mu) at the least mu >= 0 with
+    G <= level, met exactly; a G without ``prox`` raises ``InputError``.
     """
 
     kind = "sublevel"
@@ -206,39 +203,26 @@ class Sublevel(ConvexSetRep):
         return self.functional.value(f) <= self.level + tol
 
     def _project(self, f, tol):
-        x = RandVar(self.space, np.maximum(f.values, 0.0))
-        if self.functional.value(x) <= self.level:
-            return x
-        kind = getattr(self.functional, "kind", None)
-        if kind == "linear":
-            return self._project_halfspace_orthant(f, tol)
-        return _project_sublevel_bisect(self, f, tol)
+        G = self.functional
+        if not hasattr(G, "prox"):
+            raise InputError(f"a sublevel of a {G.kind!r} functional has no prox")
+        x0 = RandVar(self.space, np.maximum(f.values, 0.0))  # prox(f, 0)
+        g0 = G.value(x0) - self.level
+        if g0 <= 0.0:
+            return x0
+        # the least mu that meets the level, to about 0.01 tol in the point
+        # (where Dykstra stops), from the linearization at x0
+        grad = G.grad(x0)
+        gg = float(np.dot(self.space.probs * grad, grad))
+        h_tol = 0.01 * tol * math.sqrt(gg)
+        xs = {}
 
-    def _project_halfspace_orthant(self, f, tol):
-        # Dykstra between the halfspace {<c,x>_P <= level} and the orthant;
-        # both projectors are exact, the pair converges geometrically.
-        p = self.space.probs
-        c = self.functional.c_values
-        cc = float(np.dot(p * c, c))
-        if cc <= 0.0:
-            raise InputError("halfspace normal must be nonzero")
-        x = f.values.copy()
-        inc_h = np.zeros_like(x)
-        inc_o = np.zeros_like(x)
-        for _ in range(DYKSTRA_CAP):
-            y = x + inc_h
-            t = max(0.0, (float(np.dot(p * c, y)) - self.level) / cc)
-            xh = y - t * c
-            inc_h = y - xh
-            y2 = xh + inc_o
-            xo = np.maximum(y2, 0.0)
-            inc_o = y2 - xo
-            drift = float(np.abs(xo - x).max())
-            x = xo
-            viol = max(0.0, float(np.dot(p * c, x)) - self.level)
-            if drift <= 1e-15 + 0.01 * tol and viol <= 0.1 * tol * (1.0 + abs(self.level)):
-                return RandVar(self.space, np.maximum(x, 0.0))
-        raise BudgetExceededError("halfspace/orthant projection did not converge")
+        def h(mu):
+            xs[mu] = x = G.prox(f, mu)
+            return self.level - G.value(x)
+
+        start = (g0 + 0.5 * h_tol) / gg if gg > 0.0 else 1.0
+        return xs[monotone_root(h, -g0, start, h_tol)]
 
 
 class Intersection(ConvexSetRep):
@@ -406,56 +390,6 @@ def _dykstra(parts, f: RandVar, tol: float) -> RandVar:
     )
 
 
-def _project_sublevel_bisect(rep: Sublevel, f: RandVar, tol: float) -> RandVar:
-    """Projection onto {x >= 0 : G(x) <= level} via bisection on the multiplier.
-
-    x(mu) solves (x - f) + mu * gradG(x) = 0 componentwise over x >= 0;
-    G(x(mu)) decreases in mu, so bisect until the level is met.
-    """
-    functional = rep.functional
-    level = rep.level
-
-    def x_of_mu(mu: float) -> RandVar:
-        kind = getattr(functional, "kind", None)
-        if kind == "quadratic":
-            # (I + mu A) x = f - mu b, then clamp to the orthant
-            n = rep.space.n
-            A = functional.A_values
-            bvec = functional.b_values
-            M = np.eye(n) + mu * A
-            try:
-                x = np.linalg.solve(M, f.values - mu * bvec)
-            except np.linalg.LinAlgError:
-                x, *_ = np.linalg.lstsq(M, f.values - mu * bvec, rcond=None)
-            return RandVar(rep.space, np.maximum(x, 0.0))
-        # pointwise: separable scalar prox via monotone derivative bisection
-        vals = np.empty(rep.space.n)
-        for i, fi in enumerate(f.values):
-            vals[i] = _scalar_prox(functional, fi, mu)
-        return RandVar(rep.space, vals)
-
-    lo, hi = 0.0, 1.0
-    x_hi = x_of_mu(hi)
-    guard = 0
-    while functional.value(x_hi) > level and guard < 200:
-        hi *= 2.0
-        x_hi = x_of_mu(hi)
-        guard += 1
-    if functional.value(x_hi) > level:
-        raise SolverError("sublevel projection could not reach the level set")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        x_mid = x_of_mu(mid)
-        if functional.value(x_mid) > level:
-            lo = mid
-        else:
-            hi = mid
-            x_hi = x_mid
-        if hi - lo <= 1e-15 * (1.0 + hi):
-            break
-    return x_hi
-
-
 # ---------------------------------------------------------------------------
 # JSON codecs (one wrapper key per variant)
 # ---------------------------------------------------------------------------
@@ -505,22 +439,3 @@ def set_from_json(space: ProbSpace, obj: dict) -> ConvexSetRep:
         return Intersection([set_from_json(space, s) for s in body["parts"]])
     raise InputError(f"unknown set variant {key!r}")
 
-
-def _scalar_prox(functional, fi: float, mu: float) -> float:
-    """argmin over x >= 0 of (x - fi)^2/2 + mu * Phi(x), Phi the pointwise map:
-    bisection on its nondecreasing derivative down to float resolution."""
-    def deriv(x):
-        return (x - fi) + mu * functional.expr.derivative({"x": x}, "x")
-
-    lo, hi = 0.0, max(fi, 1.0)
-    if deriv(lo) >= 0.0:
-        return 0.0
-    while deriv(hi) < 0.0 and hi < 1e12:
-        hi *= 2.0
-    while hi - lo > 1e-15 * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -204,8 +204,9 @@ class Expression:
 
     def eval(self, env: dict) -> float:
         v = _eval(self.ast, env, self.src)
-        if not math.isfinite(v):
-            raise DomainError(f"expression {self.src!r} evaluated to {v!r}")
+        if not math.isfinite(v):  # an infinite value is an overflow
+            raise DomainError(f"expression {self.src!r} evaluated to {v!r}") from (
+                OverflowError(v) if math.isinf(v) else None)
         return v
 
     def derivative(self, env: dict, wrt: str) -> float:

@@ -13,6 +13,10 @@ self-adjoint for the weighted inner product (p_i A_ij = p_j A_ji) and
 positive semidefinite; construction validates both and refuses
 indefinite input. Pointwise maps come from the small expression
 language (one free variable), with exact forward-mode gradients.
+
+Each has an exact ``prox(y, mu)`` = argmin over x >= 0 of E[(x - y)^2]/2
++ mu G(x); ``monotone_root`` finds the pointwise scalar prox and the
+multiplier of a sublevel projection.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import CurvatureError, DomainError, InputError
+from .errors import CurvatureError, DomainError, InputError, SolverError
 from .expr import Expression
 from .measure import ProbSpace, RandVar, randvar_from_json, randvar_to_json
 
@@ -58,6 +62,39 @@ def midpoint_scan(g, draw, seed: int, skip=()):
     return None
 
 
+def monotone_root(h, h0: float, hi: float, h_tol: float) -> float:
+    """A t > 0 with 0 <= h(t) <= h_tol, for h nondecreasing with h(0) = h0 < 0:
+    doubles ``hi`` until h(hi) >= 0, then runs false position aimed at h_tol/2
+    with the Illinois halving (Dowell & Jarratt 1971), bisecting when its point
+    is not strictly inside the bracket. A bracket narrower than 1e-15 (1 + hi)
+    ends at its upper end, where h >= 0. ``SolverError`` if 200 doublings fail.
+    """
+    aim = 0.5 * h_tol
+    lo, g_lo, h_hi, side = 0.0, h0 - aim, h(hi), 0
+    for _ in range(200):
+        if h_hi >= 0.0:
+            break
+        lo, g_lo, hi = hi, h_hi - aim, 2.0 * hi
+        h_hi = h(hi)
+    else:
+        raise SolverError("monotone root search found no sign change")
+    g_hi = h_hi - aim
+    while h_hi > h_tol and hi - lo > 1e-15 * (1.0 + hi):
+        t = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        h_t = h(t)
+        if h_t < 0.0:
+            if side < 0:  # Illinois: an end kept twice has its value halved
+                g_hi *= 0.5
+            lo, g_lo, side = t, h_t - aim, -1
+        else:
+            if side > 0:
+                g_lo *= 0.5
+            hi, h_hi, g_hi, side = t, h_t, h_t - aim, 1
+    return hi
+
+
 class LinearFunctional:
     kind = "linear"
     declared_convex = True
@@ -76,6 +113,9 @@ class LinearFunctional:
 
     def grad(self, f: RandVar) -> np.ndarray:
         return self.c_values.copy()
+
+    def prox(self, y: RandVar, mu: float) -> RandVar:
+        return RandVar(self.space, np.maximum(y.values - mu * self.c_values, 0.0))
 
     def to_json(self) -> dict:
         return {
@@ -131,6 +171,35 @@ class QuadraticFunctional:
 
     def grad(self, f: RandVar) -> np.ndarray:
         return self.A_values @ f.values + self.b_values
+
+    def prox(self, y: RandVar, mu: float) -> RandVar:
+        """argmin over x >= 0 of x.Hx/2 - r.x, H = diag(p)(I + mu A) positive
+        definite as p A is symmetric PSD, r = p (y - mu b): the active set
+        with step-back of Lawson & Hanson (1974, ch. 23)."""
+        n, p = self.space.n, self.space.probs
+        H = p[:, None] * (np.eye(n) + mu * self.A_values)
+        r = p * (y.values - mu * self.b_values)
+        x, free = np.zeros(n), np.zeros(n, dtype=bool)
+        for _ in range(3 * n + 1):
+            w = np.where(free, -np.inf, r - H @ x)
+            j = int(np.argmax(w))
+            if w[j] <= 1e-13 * float(np.abs(r).max() + np.abs(H).max() * np.abs(x).sum()):
+                return RandVar(self.space, x)
+            free[j] = True
+            while True:
+                z = np.zeros(n)
+                z[free] = np.linalg.solve(H[np.ix_(free, free)], r[free])
+                if np.all(z >= 0.0):
+                    x = z
+                    break
+                # step back to where the first free coordinate reaches zero
+                ratio = np.divide(x, x - z, out=np.full(n, np.inf), where=z < 0.0)
+                k = int(np.argmin(ratio))
+                x = x + ratio[k] * (z - x)
+                x[k] = 0.0
+                free &= x > 0.0
+                x[~free] = 0.0
+        raise SolverError("nonnegative quadratic program did not terminate")
 
     def to_json(self) -> dict:
         return {
@@ -208,10 +277,19 @@ class PointwiseFunctional:
         return total
 
     def grad(self, f: RandVar) -> np.ndarray:
-        out = np.empty(self.space.n)
-        for i, v_i in enumerate(f.values):
-            out[i] = self.expr.derivative({"x": float(v_i)}, "x")
-        return out
+        return np.array([self.expr.derivative({"x": float(v)}, "x") for v in f.values])
+
+    def prox(self, y: RandVar, mu: float) -> RandVar:
+        return RandVar(self.space, np.array(
+            [self._scalar_prox(float(v), mu) for v in y.values]))
+
+    def _scalar_prox(self, y: float, mu: float) -> float:
+        """argmin over x >= 0 of (x - y)^2/2 + mu Phi(x), by its derivative."""
+        def deriv(x):
+            return (x - y) + mu * self.expr.derivative({"x": x}, "x")
+
+        d0 = deriv(0.0)
+        return 0.0 if d0 >= 0.0 else monotone_root(deriv, d0, max(y, 1.0), 0.0)
 
     def to_json(self) -> dict:
         return {

@@ -504,7 +504,7 @@ def verify_saddle(inst: SaddleInstance, f0: RandVar, g0: RandVar,
             (value - supinf, {"side": "g", "point": g_best}),
         ]
         worst, witness = max(cand, key=lambda t: t[0])
-    ok = worst <= tol
+    ok = bool(worst <= tol)  # worst may be a numpy scalar
     return VerifyResult(
         ok=ok, value=value, max_violation=max(worst, 0.0),
         witness=None if ok else witness,

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from cckit import (
     Box,
     CurvatureError,
+    DomainError,
     Expression,
     InputError,
     Intersection,
     LinearFunctional,
+    NonConvergent,
     PointwiseFunctional,
     Polytope,
     ProbSpace,
@@ -79,6 +81,19 @@ class TestCheckGrowth:
 
     def test_decreasing_map_fails(self):
         assert check_growth("0 - x") is False
+
+    def test_overflow_ends_the_probe(self):
+        # exp overflows from x = 2^10 on: the verdict comes from the finite
+        # points before it, and is False when there are none
+        assert check_growth("-exp(x)") is False
+        assert check_growth("exp(exp(x))") is False
+        rep = coercivity_report(PointwiseFunctional(U2, "exp(x) - x"), rv([1.0, 2.0]))
+        assert rep["growth_probe"] is True
+        assert rep["weak_coercive"] is True
+
+    def test_domain_hole_still_raises(self):
+        with pytest.raises(DomainError):
+            check_growth("log(100 - x)")  # undefined at x = 128
 
 
 class TestMinimize:
@@ -344,13 +359,34 @@ class TestFrankWolfeCertificate:
     def test_intersection_with_a_pointwise_contour(self):
         # min E[-f] over {0 <= f <= 2, E[f^2] <= 1/2}: by Cauchy-Schwarz
         # E[f] <= sqrt(E[f^2]), so the constant sqrt(1/2) is optimal. The
-        # contour is projected through the pointwise scalar prox.
+        # contour is projected through the pointwise scalar prox; the
+        # objective is symmetric only for its closed form, and the
+        # asymmetric one is the counted test below.
         box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
         C = Intersection([box, lower_contour(PointwiseFunctional(U2, "x^2"), 0.5)])
         x, val, report = minimize(LinearFunctional(U2, [-1.0, -1.0]), C, 1e-7)
         assert val == pytest.approx(-math.sqrt(0.5), abs=1e-7)
         assert np.allclose(x.values, math.sqrt(0.5), atol=1e-6)
         assert report["certificate"] == "net"
+
+
+    def test_asymmetric_objective_over_a_pointwise_contour(self, monkeypatch):
+        # min E[-f0 - 2 f1] over {0 <= f <= 2, E[f^2] <= 1/2}, that is
+        # f0^2 + f1^2 <= 1: the minimizer is (1, 2)/sqrt(5). The sublevel
+        # projections need few exact derivatives (384,996 when each
+        # multiplier and each scalar prox was bisected)
+        calls = [0]
+        original = Expression.derivative
+
+        def counted(self, *args):
+            calls[0] += 1
+            return original(self, *args)
+        monkeypatch.setattr(Expression, "derivative", counted)
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        C = Intersection([box, lower_contour(PointwiseFunctional(U2, "x^2"), 0.5)])
+        x, _, _ = minimize(LinearFunctional(U2, [-1.0, -2.0]), C, 1e-5)
+        assert np.abs(x.values - np.array([1.0, 2.0]) / math.sqrt(5)).max() <= 1e-5
+        assert calls[0] <= 40_000
 
 
 class TestCertificateNet:
@@ -379,6 +415,15 @@ class TestCertificateNet:
         Q = QuadraticFunctional(U2, np.eye(2))
         with pytest.raises(InputError):
             certificate_net(lower_contour(Q, 1.0))
+
+    def test_restart_budget_fails_loudly(self, monkeypatch):
+        # one descent step cannot reach the best vertex (0, 0) of the
+        # triangle; the net finds it, and the spent budget forbids a restart
+        monkeypatch.setattr(coercive, "MINIMIZE_BUDGET", 1)
+        C = Polytope([rv([0.0, 0.0]), rv([1.0, 0.0]), rv([0.0, 1.0])])
+        with pytest.raises(NonConvergent, match="certificate net found a "
+                           "better point after 1 restarts"):
+            minimize(LinearFunctional(U2, [1e-3, 2e-3]), C, 1e-6)
 
 
 class TestLowerContour:

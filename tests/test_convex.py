@@ -18,6 +18,7 @@ from cckit import (
     ProbSpace,
     QuadraticFunctional,
     RandVar,
+    SolverError,
     Sublevel,
     WeightVector,
     contains,
@@ -221,6 +222,16 @@ class TestSublevel:
         # symmetric input stays symmetric
         assert pr.values[0] == pytest.approx(pr.values[1], abs=1e-10)
 
+    @pytest.mark.parametrize("G", [
+        LinearFunctional(uspace(2), np.array([1.0, 1.0])),
+        QuadraticFunctional(uspace(2), np.array([[1.0, 1.0], [1.0, 1.0]]), b=[-1.0, -1.0]),
+        PointwiseFunctional(uspace(2), "x^2"),
+    ], ids=lambda G: G.kind)
+    def test_empty_sublevel_projection_gives_up(self, G):
+        # the level lies below min G over the orthant: no multiplier meets it
+        with pytest.raises(SolverError, match="no sign change"):
+            project(Sublevel(uspace(2), G, -10.0), rv(uspace(2), 3.0, 1.0), 1e-9)
+
     def test_rejects_undeclared_convexity(self):
         sp = uspace(2)
 
@@ -264,14 +275,14 @@ class TestSublevel:
         sp = uspace(len(y))
         f = RandVar(sp, np.array(y))
         prox_calls = [0]
-        prox = cckit.convex._scalar_prox
+        prox = PointwiseFunctional._scalar_prox
 
         def counted(*args):
             prox_calls[0] += 1
             return prox(*args)
         lvl = Sublevel(sp, PointwiseFunctional(sp, "x^2"), level)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cckit.convex, "_scalar_prox", counted)
+            mp.setattr(PointwiseFunctional, "_scalar_prox", counted)
             pr = project(lvl, f, 1e-10)
         mean_sq = float(np.dot(sp.probs, f.values ** 2))
         if mean_sq > level:
@@ -282,9 +293,10 @@ class TestSublevel:
         assert np.abs(pr.values - want).max() <= 1e-6
 
     def test_scalar_prox_stops_at_float_resolution(self, monkeypatch):
-        # argmin over x >= 0 of (x - 3)^2/2 + 0.5 x^2 is 1.5; the bisection
-        # on the derivative stops once hi - lo <= 1e-15 (1 + hi), about 50
-        # steps of one exact derivative each
+        # argmin over x >= 0 of (x - 3)^2/2 + 0.5 x^2 is 1.5; the root
+        # search on the derivative stops once hi - lo <= 1e-15 (1 + hi) at
+        # the latest (bisection alone takes about 50 steps of one exact
+        # derivative each)
         calls = [0]
         for name in ("eval", "derivative"):
             def counted(self, *args, _original=getattr(Expression, name)):
@@ -292,8 +304,76 @@ class TestSublevel:
                 return _original(self, *args)
             monkeypatch.setattr(Expression, name, counted)
         G = PointwiseFunctional(uspace(1), "x^2", declared_convex=False)
-        assert cckit.convex._scalar_prox(G, 3.0, 0.5) == pytest.approx(1.5, rel=1e-14)
+        assert G._scalar_prox(3.0, 0.5) == pytest.approx(1.5, rel=1e-14)
         assert calls[0] <= 64
+
+
+def _slsqp_project(rep, f):
+    """Reference projection onto a Sublevel by scipy's SLSQP (tests only):
+    min E[(x - f)^2]/2 over x >= 0 with level - G(x) >= 0."""
+    optimize = pytest.importorskip("scipy.optimize")
+    p, G = rep.space.probs, rep.functional
+
+    def at(x):
+        return RandVar(rep.space, np.asarray(x, dtype=float))
+    res = optimize.minimize(
+        lambda x: 0.5 * float(np.dot(p, (x - f.values) ** 2)),
+        np.full(rep.space.n, 0.5), jac=lambda x: p * (x - f.values),
+        method="SLSQP", bounds=[(0.0, None)] * rep.space.n,
+        constraints=[{"type": "ineq",
+                      "fun": lambda x: rep.level - G.value(at(x)),
+                      "jac": lambda x: -p * G.grad(at(x))}],
+        options={"ftol": 1e-12, "maxiter": 1000},
+    )
+    # status 8 ("positive directional derivative") is SLSQP's stop at the
+    # limit of its line search's precision
+    assert res.status in (0, 8), res.message
+    return at(res.x)
+
+
+def _random_sublevel(kind, seed):
+    """A seeded Sublevel on 2-5 atoms with random probabilities and a point
+    f; the level lies above G(0), so the set is not empty, and below
+    G(max(f, 0)) whenever that exceeds G(0)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    p = rng.uniform(0.5, 1.5, n)
+    sp = ProbSpace(tuple(range(n)), p / p.sum())
+    f = RandVar(sp, rng.uniform(-1.0, 3.0, n))
+    if kind == "linear":
+        G = LinearFunctional(sp, rng.uniform(-0.5, 2.0, n))
+    elif kind == "quadratic":
+        # p_i A_ij = S_ij: self-adjoint for the weighted product, and
+        # positive definite; S is far from diagonal
+        B = rng.normal(size=(n, n))
+        A = (B @ B.T + 0.1 * np.eye(n)) / sp.probs[:, None]
+        G = QuadraticFunctional(sp, A, rng.uniform(-1.0, 1.0, n))
+    else:
+        G = PointwiseFunctional(
+            sp, ("x^2", "exp(x) - x", "x^4 + x", "(x - 1)^2")[seed % 4],
+            declared_convex=True,
+        )
+    zero = G.value(RandVar(sp, np.zeros(n)))
+    top = G.value(RandVar(sp, np.maximum(f.values, 0.0)))
+    level = zero + rng.uniform(0.1, 0.9) * max(top - zero, 1e-3)
+    return Sublevel(sp, G, level), f
+
+
+class TestSublevelAgainstSLSQP:
+    """Differential: every Sublevel projection is feasible exactly and no
+    farther from f than SLSQP's answer (beyond 1e-6)."""
+
+    @pytest.mark.parametrize("kind,count", [
+        ("linear", 60), ("quadratic", 100), ("pointwise", 40),
+    ])
+    def test_projection_is_the_nearest_point(self, kind, count):
+        for seed in range(count):
+            rep, f = _random_sublevel(kind, seed)
+            ref = _slsqp_project(rep, f)
+            pr = project(rep, f, 1e-10)
+            assert np.all(pr.values >= 0.0)
+            assert rep.functional.value(pr) <= rep.level, seed
+            assert norm(pr - f) <= norm(ref - f) + 1e-6, seed
 
 
 class TestIntersection:

@@ -13,11 +13,13 @@ from cckit import (
     CurvatureError,
     InputError,
     KKMInstance,
+    LinearFunctional,
     NonConvergent,
     Polytope,
     ProbSpace,
     RandVar,
     SaddleInstance,
+    Sublevel,
     build_G_family,
     contains,
     direct_sum,
@@ -273,6 +275,20 @@ class TestVerifySaddle:
         with pytest.raises(InputError):
             verify_saddle(inst, rv([2.0, 2.0]), rv([0.5, 0.5]), tol=1e-6)
 
+    def test_inner_optimization_on_boxes(self):
+        # strict terms on boxes: no generator sweep, so each side is
+        # checked by a certified inner minimization
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        inst = SaddleInstance(box, box, BilinearPayoff(
+            U2, [[1.0, -0.5], [0.3, 0.8]], f_term="-x^2", g_term="x^2"))
+        cert = solve_saddle(inst, tol=1e-9)
+        vr = verify_saddle(inst, cert.f0, cert.g0, tol=1e-6)
+        assert vr.ok is True and bool(vr)
+        vr = verify_saddle(inst, rv([1.5, 0.2]), cert.g0, tol=1e-6)
+        assert vr.ok is False
+        assert vr.witness["side"] == "f"
+        assert vr.max_violation == pytest.approx(1.145, abs=1e-6)
+
 
 class TestGFamily:
     def _pennies(self):
@@ -333,6 +349,53 @@ class TestGFamily:
         inst = self._pennies()
         with pytest.raises(InputError):
             build_G_family(inst, [(rv([2.0, 0.0]), rv([1.0, 0.0]))])
+
+    def test_gap_family_without_prox_is_refused(self):
+        # a non-bilinear payoff gives sublevels of the gap functional,
+        # which has no prox: projecting onto one is a typed refusal
+        inst = SaddleInstance(SIMPLEX, SIMPLEX, BilinearPayoff(
+            U2, [[1.0, -1.0], [-1.0, 1.0]], f_term="-x^2", g_term="x^2"))
+        pairs = self._corner_pairs()
+        sum_space = direct_sum(U2)
+        verts = [oplus(f, g, sum_space) for f, g in pairs]
+        with pytest.raises(InputError, match="'saddle-gap'"):
+            sperner_solve(KKMInstance(verts, build_G_family(inst, pairs)), tol=1e-3)
+
+    def test_cross_route_projections_are_cheap(self, monkeypatch):
+        # the halfspace families of ten transversal 2x2 games, picked by
+        # the acceptance cross route's rule: each projection evaluates the
+        # functional a few times (3.6 on average, membership tests
+        # included), since its root search starts from the linearization,
+        # which is exact for an unclamped halfspace
+        calls = {"project": 0, "value": 0}
+        project, value = Sublevel._project, LinearFunctional.value
+
+        def counted_project(self, f, tol):
+            calls["project"] += 1
+            return project(self, f, tol)
+
+        def counted_value(self, f):
+            calls["value"] += 1
+            return value(self, f)
+        monkeypatch.setattr(Sublevel, "_project", counted_project)
+        monkeypatch.setattr(LinearFunctional, "value", counted_value)
+        rng = np.random.default_rng(606)
+        es = [rv([1.0, 0.0]), rv([0.0, 1.0])]
+        pairs = [(f, g) for f in es for g in es]
+        sum_space = direct_sum(U2)
+        verts = [oplus(f, g, sum_space) for f, g in pairs]
+        made = 0
+        while made < 10:
+            K = rng.uniform(-2.0, 2.0, size=(2, 2))
+            (a, b), (c, d) = K
+            det = a - b - c + d
+            if abs(det) < 1.0 or not (0.1 <= (d - c) / det <= 0.9
+                                      and 0.1 <= (d - b) / det <= 0.9):
+                continue
+            made += 1
+            inst = SaddleInstance(SIMPLEX, SIMPLEX, BilinearPayoff(U2, K))
+            sperner_solve(KKMInstance(verts, build_G_family(inst, pairs)), tol=5e-5)
+        assert calls["value"] <= 4 * calls["project"]
 
     def test_cross_route_agrees_with_extragradient(self):
         # solve pennies a second way: walk the simplex over the G family
