@@ -88,9 +88,11 @@ def check_growth(phi_expr) -> bool:
     """Probe-grid surrogate of liminf Phi(x)/x > 0.
 
     True iff min over x in {2^4 .. 2^24} before the first overflow of Phi
-    of Phi(x)/x exceeds 1e-9 (False if Phi overflows at 2^4); a domain
-    hole raises ``DomainError``. Finite probes cannot certify a liminf;
-    treat the verdict as probe-grid evidence only.
+    of Phi(x)/x exceeds 1e-9 (False if Phi overflows at 2^4). An overflow is
+    a ``DomainError`` caused by an ``OverflowError`` (``Expression.eval`` so
+    marks any non-finite value); any other ``DomainError``, a domain hole,
+    is raised. Finite probes cannot certify a liminf: the verdict is
+    probe-grid evidence only.
     """
     if isinstance(phi_expr, str):
         phi_expr = Expression(phi_expr)

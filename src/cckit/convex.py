@@ -91,6 +91,10 @@ class ConvexSetRep:
     def _project(self, f: RandVar, tol: float) -> RandVar:
         raise NotImplementedError
 
+    def distance(self, f: RandVar, tol: float = 1e-9) -> float:
+        """Weighted-norm distance from f to the set (via projection)."""
+        return norm(f - self._project(f, tol))
+
 
 class Polytope(ConvexSetRep):
     kind = "polytope"
@@ -210,19 +214,22 @@ class Sublevel(ConvexSetRep):
         g0 = G.value(x0) - self.level
         if g0 <= 0.0:
             return x0
-        # the least mu that meets the level, to about 0.01 tol in the point
-        # (where Dykstra stops), from the linearization at x0
-        grad = G.grad(x0)
-        gg = float(np.dot(self.space.probs * grad, grad))
-        h_tol = 0.01 * tol * math.sqrt(gg)
         xs = {}
 
         def h(mu):
+            # (level - G)/|grad G|_P at x(mu): to first order the signed
+            # distance from x(mu) to the level surface
             xs[mu] = x = G.prox(f, mu)
-            return self.level - G.value(x)
+            slack, gn = self.level - G.value(x), norm(RandVar(self.space, G.grad(x)))
+            return slack / gn if gn > 0.0 else math.copysign(math.inf, slack)
 
-        start = (g0 + 0.5 * h_tol) / gg if gg > 0.0 else 1.0
-        return xs[monotone_root(h, -g0, start, h_tol)]
+        gn0 = norm(RandVar(self.space, G.grad(x0)))
+        if gn0 == 0.0:  # x0 minimizes G
+            raise SolverError("sublevel set is empty")
+        # the least mu that meets the level, to about 0.01 tol in the point
+        # (where Dykstra stops), from the linearization at x0
+        h_tol = 0.01 * tol
+        return xs[monotone_root(h, -g0 / gn0, (g0 / gn0 + 0.5 * h_tol) / gn0, h_tol)]
 
 
 class Intersection(ConvexSetRep):

@@ -204,9 +204,8 @@ class Expression:
 
     def eval(self, env: dict) -> float:
         v = _eval(self.ast, env, self.src)
-        if not math.isfinite(v):  # an infinite value is an overflow
-            raise DomainError(f"expression {self.src!r} evaluated to {v!r}") from (
-                OverflowError(v) if math.isinf(v) else None)
+        if not math.isfinite(v):  # from finite inputs, only after an overflow
+            raise DomainError(f"expression {self.src!r} evaluated to {v!r}") from OverflowError(v)
         return v
 
     def derivative(self, env: dict, wrt: str) -> float:

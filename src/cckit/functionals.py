@@ -63,19 +63,20 @@ def midpoint_scan(g, draw, seed: int, skip=()):
 
 
 def monotone_root(h, h0: float, hi: float, h_tol: float) -> float:
-    """A t > 0 with 0 <= h(t) <= h_tol, for h nondecreasing with h(0) = h0 < 0:
-    doubles ``hi`` until h(hi) >= 0, then runs false position aimed at h_tol/2
-    with the Illinois halving (Dowell & Jarratt 1971), bisecting when its point
-    is not strictly inside the bracket. A bracket narrower than 1e-15 (1 + hi)
-    ends at its upper end, where h >= 0. ``SolverError`` if 200 doublings fail.
+    """A t > 0 with 0 <= h(t) <= h_tol, for h < 0 on [0, t*) and h >= 0 from
+    t* on, h(0) = h0 (a nondecreasing h with h0 < 0 is one): doubles ``hi``
+    until h(hi) >= 0, then runs false position aimed at h_tol/2 with the
+    Illinois halving (Dowell & Jarratt 1971), bisecting when its point is not
+    strictly inside the bracket. A bracket narrower than 1e-15 (1 + hi) ends
+    at its upper end, where h >= 0. ``SolverError`` if h(hi) < 0 at 200 tries.
     """
     aim = 0.5 * h_tol
-    lo, g_lo, h_hi, side = 0.0, h0 - aim, h(hi), 0
+    lo, g_lo, side = 0.0, h0 - aim, 0
     for _ in range(200):
+        h_hi = h(hi)
         if h_hi >= 0.0:
             break
         lo, g_lo, hi = hi, h_hi - aim, 2.0 * hi
-        h_hi = h(hi)
     else:
         raise SolverError("monotone root search found no sign change")
     g_hi = h_hi - aim
@@ -277,7 +278,10 @@ class PointwiseFunctional:
         return total
 
     def grad(self, f: RandVar) -> np.ndarray:
-        return np.array([self.expr.derivative({"x": float(v)}, "x") for v in f.values])
+        out = np.empty(self.space.n)
+        for i, v_i in enumerate(f.values):
+            out[i] = self.expr.derivative({"x": float(v_i)}, "x")
+        return out
 
     def prox(self, y: RandVar, mu: float) -> RandVar:
         return RandVar(self.space, np.array(

@@ -87,6 +87,9 @@ class TestCheckGrowth:
         # points before it, and is False when there are none
         assert check_growth("-exp(x)") is False
         assert check_growth("exp(exp(x))") is False
+        # x^100 * x^100 overflows to inf without an error from x = 2^6 on, and
+        # inf - inf is NaN: an overflow all the same, after two finite points
+        assert check_growth("x^100 * x^100 - x^100 * x^100 + x") is True
         rep = coercivity_report(PointwiseFunctional(U2, "exp(x) - x"), rv([1.0, 2.0]))
         assert rep["growth_probe"] is True
         assert rep["weak_coercive"] is True

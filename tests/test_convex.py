@@ -232,6 +232,12 @@ class TestSublevel:
         with pytest.raises(SolverError, match="no sign change"):
             project(Sublevel(uspace(2), G, -10.0), rv(uspace(2), 3.0, 1.0), 1e-9)
 
+    def test_empty_sublevel_seen_at_a_minimizer_of_g(self):
+        # grad G vanishes at max(f, 0) = 0, where G is least and above the level
+        sp = uspace(2)
+        with pytest.raises(SolverError, match="sublevel set is empty"):
+            project(Sublevel(sp, PointwiseFunctional(sp, "x^2"), -10.0), rv(sp, 0.0, -1.0), 1e-9)
+
     def test_rejects_undeclared_convexity(self):
         sp = uspace(2)
 
@@ -291,6 +297,29 @@ class TestSublevel:
         else:
             want = f.values
         assert np.abs(pr.values - want).max() <= 1e-6
+
+    @pytest.mark.parametrize("phi,level,y", [
+        ("exp(x) - x", 1.5, (20.0, 20.0)),
+        ("x^2", 1e-4, (100.0, 100.0)),
+        ("x^2", 1e-4, (100.0, 1.0)),
+    ], ids=["exp-from-20", "square-from-100", "square-lopsided"])
+    def test_far_point_projection_is_exact(self, phi, level, y):
+        # |grad G| falls from about e^20 (or 200) at f to about 1.4 (or 0.02)
+        # at the nearest point, so the multiplier search must judge its slack
+        # by the gradient where it stops, not where it starts
+        sp = uspace(2)
+        f = rv(sp, *y)
+        pr = project(Sublevel(sp, PointwiseFunctional(sp, phi), level), f, 1e-9)
+        if phi == "x^2":
+            want = f.values * np.sqrt(level / float(np.dot(sp.probs, f.values ** 2)))
+        else:
+            # by symmetry both atoms sit at the root of e^x - x = 1.5
+            lo, hi = 0.0, 5.0
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if np.exp(mid) - mid < level else (lo, mid)
+            want = np.full(2, hi)
+        assert np.abs(pr.values - want).max() <= 1e-9
 
     def test_scalar_prox_stops_at_float_resolution(self, monkeypatch):
         # argmin over x >= 0 of (x - 3)^2/2 + 0.5 x^2 is 1.5; the root
