@@ -4,11 +4,11 @@ The attainment story at finite scale: a convex functional G with closed
 convex lower-contour sets attains its infimum on a nonempty bounded
 closed convex C. ``minimize`` realizes this with a projected-gradient
 descent whose accepted iterates produce the decreasing sequence of
-contour levels a_k (the nested family witnessing attainment). On a box
-or a polytope the answer is certified by the Frank-Wolfe gap
-max_{s in C} E[grad G(x) (x - s)], which bounds G(x) - min_C G for
-convex G (Jaggi 2013, *Revisiting Frank-Wolfe*); the descent stops once
-it is at most tol/4. Intersections and sublevel sets, and a descent that
+contour levels a_k (the nested family witnessing attainment). Where the
+support of C is exact (boxes, polytopes) the answer is certified by the
+Frank-Wolfe gap max_{s in C} E[grad G(x) (x - s)], which bounds
+G(x) - min_C G for convex G (Jaggi 2013, *Revisiting Frank-Wolfe*); the
+descent stops once it is at most tol/4. Other sets, and a descent that
 ends any other way, are certified against a vertex/grid net of C
 instead, restarting from any better net point.
 
@@ -118,14 +118,11 @@ def lower_contour(functional, level: float) -> Sublevel:
 # ---------------------------------------------------------------------------
 
 def _domain_scale(rep: ConvexSetRep) -> float:
-    if isinstance(rep, Polytope):
-        return max(1.0, rep.max_abs_value())
-    if isinstance(rep, Box):
-        return max(1.0, float(np.abs(rep.upper.values).max()))
-    if isinstance(rep, Intersection):
-        vals = [_domain_scale(p) for p in rep.parts if is_bounded(p)]
-        return min(vals) if vals else 1.0
-    return 1.0
+    """max(1, largest coordinate over the set), read as sigma(e_i)/p_i."""
+    space = rep.space
+    zero = RandVar(space, np.zeros(space.n))
+    return max(1.0, max(rep.support(e, zero)[0] / p
+                        for e, p in zip(np.eye(space.n), space.probs)))
 
 
 def certificate_net(rep: ConvexSetRep, cap: int = 4096) -> list:
@@ -171,8 +168,8 @@ def minimize(functional, C: ConvexSetRep, tol: float):
     Returns (f_star, value, report) where report carries the decreasing
     contour levels a_k, the iteration and restart counts, and the
     certificate: ``"fw-gap"`` with the Frank-Wolfe gap ``fw_gap`` <= tol/4
-    (boxes and polytopes), or ``"net"`` with the certificate-net margin
-    ``net_margin`` (value within tol/4 of the best net candidate,
+    (exact supports: boxes, polytopes), or ``"net"`` with the certificate-net
+    margin ``net_margin`` (value within tol/4 of the best net candidate,
     restarting from any better net point). f_star is feasible at 2*tol.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -250,26 +247,18 @@ def _reference(C: ConvexSetRep) -> RandVar:
 
 
 def _fw_gap(C: ConvexSetRep, x: RandVar, grad: np.ndarray):
-    """The Frank-Wolfe gap max_{s in C} E[grad (x - s)] on a box or a
-    polytope, None on any other set. For convex G it bounds G(x) - min_C G;
-    for x in C it is >= 0, so a negative sum is rounding and reads 0.
-    Fixed-order axis reductions keep its bits the same across CPU dispatch."""
-    pg = x.space.probs * grad
-    if isinstance(C, Box):
-        s = np.where(pg > 0.0, C.lower.values, C.upper.values)
-        return max(0.0, float((pg * (x.values - s)).sum()))
-    if isinstance(C, Polytope):
-        d = x.values[:, None] - C._cols
-        d *= pg[:, None]  # in place: one n-by-k temporary
-        return max(0.0, float(d.sum(axis=0).max()))
-    return None
+    """The Frank-Wolfe gap max_{s in C} E[grad (x - s)], the support of C at -grad
+    from x (None when that is only a bound). It bounds G(x) - min_C G for convex
+    G; for x in C it is >= 0, so a negative sum is rounding and reads 0."""
+    gap, s = C.support(-grad, x)
+    return None if s is None else max(0.0, gap)
 
 
 def _projected_descent(functional, C, x, value, tol, levels, budget):
     """Armijo-backtracking projected gradient; appends decreasing levels.
 
     Returns (x, value, iterations, gap): gap is the Frank-Wolfe gap when
-    the descent stopped on it (gap <= tol/4, boxes and polytopes), None
+    the descent stopped on it (gap <= tol/4, exact supports), None
     when it stalled (no step lowers the value), met the gradient-mapping
     rule or ran its budget."""
     t = 1.0

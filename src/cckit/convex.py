@@ -16,6 +16,8 @@ componentwise. Projections: exact clamp for boxes, the
 simplex program for polytopes, the functional's own ``prox`` at the
 least feasible multiplier for sublevel sets, and Dykstra's alternating
 scheme for intersections. Iterative routines fail loudly on budget exhaustion.
+Support function ``support(v, at)`` >= max_s E[v (s - at)]: exact with a maximizer
+for boxes and polytopes, the parts' least bound for intersections, +inf for sublevels.
 """
 from __future__ import annotations
 
@@ -95,6 +97,11 @@ class ConvexSetRep:
         """Weighted-norm distance from f to the set (via projection)."""
         return norm(f - self._project(f, tol))
 
+    def support(self, v: np.ndarray, at: RandVar):
+        """(bound, s): bound >= max_s E[v (s - at)] for a density v, summed in one
+        fixed-order reduction; s attains the bound when exact, else None."""
+        return math.inf, None
+
 
 class Polytope(ConvexSetRep):
     kind = "polytope"
@@ -118,9 +125,6 @@ class Polytope(ConvexSetRep):
         # a generator is found without comparing it to every column
         self._generator_keys = {(col + 0.0).tobytes() for col in self._cols.T}
 
-    def max_abs_value(self) -> float:
-        return float(np.abs(self._cols).max())
-
     def weights_for(self, f: RandVar, tol: float = 1e-9):
         """Best weight vector reproducing f, and the residual distance."""
         b = f.values * self._root_p
@@ -137,6 +141,18 @@ class Polytope(ConvexSetRep):
     def _project(self, f, tol):
         w, _ = self.weights_for(f, tol)
         return RandVar(self.space, self._cols @ w.weights)
+
+    def support(self, v, at):
+        # E[v (c_j - at)] per generator, summed down axis 0 over the atoms
+        # where p v != 0 (the rest add zeros): a unit vector costs one row
+        pv = self.space.probs * v
+        rows = np.flatnonzero(pv)
+        d = self._cols[rows]  # a copy: one r-by-k temporary, then in place
+        d -= at.values[rows, None]
+        d *= pv[rows, None]
+        sums = d.sum(axis=0)
+        j = int(np.argmax(sums))  # the first best generator
+        return float(sums[j]), self.generators[j]
 
     def reference_point(self) -> RandVar:
         return RandVar(self.space, self._cols.mean(axis=1))
@@ -165,6 +181,11 @@ class Box(ConvexSetRep):
 
     def _project(self, f, tol):
         return RandVar(self.space, np.clip(f.values, self.lower.values, self.upper.values))
+
+    def support(self, v, at):
+        pv = self.space.probs * v
+        s = np.where(pv < 0.0, self.lower.values, self.upper.values)
+        return float((pv * (s - at.values)).sum()), RandVar(self.space, s)
 
     def reference_point(self) -> RandVar:
         return RandVar(self.space, 0.5 * (self.lower.values + self.upper.values))
@@ -251,6 +272,9 @@ class Intersection(ConvexSetRep):
     def _project(self, f, tol):
         return _dykstra(self.parts, f, tol)
 
+    def support(self, v, at):
+        return min(part.support(v, at)[0] for part in self.parts), None
+
     def reference_point(self) -> RandVar:
         for part in self.parts:
             ref = getattr(part, "reference_point", None)
@@ -259,13 +283,10 @@ class Intersection(ConvexSetRep):
         raise SolverError("no part exposes a reference point")
 
 
-def is_bounded(rep) -> bool:
-    """True for polytopes, boxes, and intersections with such a part."""
-    if isinstance(rep, (Polytope, Box)):
-        return True
-    if isinstance(rep, Intersection):
-        return any(is_bounded(part) for part in rep.parts)
-    return False
+def is_bounded(rep: ConvexSetRep) -> bool:
+    """Finite support at v = 1 from 0: E[s], so each coordinate (s >= 0), is bounded."""
+    n = rep.space.n
+    return math.isfinite(rep.support(np.ones(n), RandVar(rep.space, np.zeros(n)))[0])
 
 
 def contains(set_rep: ConvexSetRep, f: RandVar, tol: float) -> bool:

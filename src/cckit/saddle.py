@@ -469,9 +469,10 @@ def verify_saddle(inst: SaddleInstance, f0: RandVar, g0: RandVar,
                   tol: float = 1e-6) -> VerifyResult:
     """Check the saddle inequalities
         Phi(f, g0) <= Phi(f0, g0) <= Phi(f0, g)
-    against the sets: exact generator sweeps for bilinear polytope
-    instances, certified inner optimization otherwise. The witness names
-    the side and the point achieving the worst violation.
+    against the sets. For a bilinear payoff both violations are supports:
+    sigma_C(K g0) from f0 and sigma_D(-grad_g) from g0; with payoff terms or
+    a support that is only a bound, certified inner optimization. The
+    witness names the side (f on ties) and the point of the worst violation.
     """
     if not contains(inst.C, f0, 2.0 * tol):
         raise InputError("f0 is not a member of C at 2*tol")
@@ -480,30 +481,18 @@ def verify_saddle(inst: SaddleInstance, f0: RandVar, g0: RandVar,
     payoff = inst.payoff
     value = payoff.value(f0, g0)
 
-    if (isinstance(inst.C, Polytope) and isinstance(inst.D, Polytope)
-            and payoff.is_bilinear):
-        # Phi(v, g0) for every generator v of C, Phi(f0, w) for every w of D
-        p = inst.space.probs
-        U = np.column_stack([v.values for v in inst.C.generators])
-        W = np.column_stack([w.values for w in inst.D.generators])
-        viol_f = (p[:, None] * U).T @ (payoff.K @ g0.values) - value
-        viol_g = value - W.T @ (payoff.K.T @ (p * f0.values))
-        i, j = int(np.argmax(viol_f)), int(np.argmax(viol_g))
-        # ties go to the first maximum, and to side f over side g
-        if viol_g[j] > viol_f[i]:
-            worst = float(viol_g[j])
-            witness = {"side": "g", "point": inst.D.generators[j]}
-        else:
-            worst = float(viol_f[i])
-            witness = {"side": "f", "point": inst.C.generators[i]}
-    else:
+    f_best = g_best = None
+    if payoff.is_bilinear:
+        viol_f, f_best = inst.C.support(payoff.grad_f(f0, g0), f0)
+        viol_g, g_best = inst.D.support(-payoff.grad_g(f0, g0), g0)
+    if f_best is None or g_best is None:
         infsup, f_best = _inner_opt(payoff, g0, "f", inst.C, tol)
         supinf, g_best = _inner_opt(payoff, f0, "g", inst.D, tol)
-        cand = [
-            (infsup - value, {"side": "f", "point": f_best}),
-            (value - supinf, {"side": "g", "point": g_best}),
-        ]
-        worst, witness = max(cand, key=lambda t: t[0])
+        viol_f, viol_g = infsup - value, value - supinf
+    if viol_g > viol_f:
+        worst, witness = viol_g, {"side": "g", "point": g_best}
+    else:
+        worst, witness = viol_f, {"side": "f", "point": f_best}
     ok = bool(worst <= tol)  # worst may be a numpy scalar
     return VerifyResult(
         ok=ok, value=value, max_violation=max(worst, 0.0),

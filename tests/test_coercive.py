@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cckit import (
     Box,
+    ConvexSetRep,
     CurvatureError,
     DomainError,
     Expression,
@@ -173,7 +174,7 @@ class TestMinimize:
 
     def test_rejects_unbounded_set(self):
         Q = QuadraticFunctional(U2, np.eye(2))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="C must be bounded"):
             minimize(Q, lower_contour(Q, 1.0), 1e-6)
 
     def test_rejects_bad_tol_and_mismatched_space(self):
@@ -390,6 +391,49 @@ class TestFrankWolfeCertificate:
         x, _, _ = minimize(LinearFunctional(U2, [-1.0, -2.0]), C, 1e-5)
         assert np.abs(x.values - np.array([1.0, 2.0]) / math.sqrt(5)).max() <= 1e-5
         assert calls[0] <= 40_000
+
+
+class _Segment(ConvexSetRep):
+    """The segment [a, b] between two distinct nonnegative points: a set
+    type that ``coercive`` knows nothing about, only its hooks."""
+
+    kind = "segment"
+
+    def __init__(self, a: RandVar, b: RandVar):
+        self.space, self.a, self.b = a.space, a, b
+
+    def _project(self, f, tol):
+        # the nearest point a + t (b - a), t clamped to [0, 1]
+        p, d = self.space.probs, self.b.values - self.a.values
+        t = np.dot(p * d, f.values - self.a.values) / np.dot(p * d, d)
+        return RandVar(self.space, self.a.values + min(max(t, 0.0), 1.0) * d)
+
+    def _contains(self, f, tol):
+        d = f.values - self._project(f, tol).values
+        return math.sqrt(np.dot(self.space.probs * d, d)) <= tol
+
+    def reference_point(self):
+        return RandVar(self.space, 0.5 * (self.a.values + self.b.values))
+
+    def support(self, v, at):
+        # a linear function peaks at an end of the segment
+        ends = (self.a, self.b)
+        vals = [float(np.dot(self.space.probs * v, e.values - at.values)) for e in ends]
+        j = int(np.argmax(vals))
+        return vals[j], ends[j]
+
+
+class TestNewSetType:
+    def test_segment_certifies_by_its_support(self):
+        C = _Segment(rv([3.0, 0.0]), rv([0.0, 1.0]))
+        # E[(f - 1)^2] on (3 (1 - t), t): 0.5 ((2 - 3t)^2 + (t - 1)^2),
+        # least at t = 0.7, the point (0.9, 0.7), value 0.05
+        G = PointwiseFunctional(U2, "(x - 1)^2")
+        x, val, report = minimize(G, C, 1e-8)
+        assert report["certificate"] == "fw-gap"
+        assert 0.0 <= report["fw_gap"] <= 0.25e-8
+        assert val == pytest.approx(0.05, abs=1e-8)
+        assert np.allclose(x.values, [0.9, 0.7], atol=1e-6)
 
 
 class TestCertificateNet:

@@ -424,6 +424,104 @@ class TestIntersection:
         assert contains(half, pr, 1e-6)
 
 
+def _random_support_case(kind, seed):
+    """A seeded set on 2-6 atoms with random probabilities, a signed
+    density v, a base point `at` (in or out of the set), and the LP
+    max E[v (s - at)] over the set, as linprog arguments in the variables
+    (s, w): s the point, w the generator weights (polytope kinds only);
+    last, the scale that tolerances are taken relative to."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    p = rng.uniform(0.5, 1.5, n)
+    sp = ProbSpace(tuple(range(n)), p / p.sum())
+    v = rng.normal(size=n) * (rng.random(n) < 0.8)
+    at = RandVar(sp, rng.uniform(-1.0, 3.0, n))
+    k = int(rng.integers(1, 9)) if "polytope" in kind else 0
+    gens = rng.uniform(0.0, 3.0, size=(k, n))
+    # the box holds a point m of any polytope part, so the set is not empty
+    m = rng.dirichlet(np.ones(k)) @ gens if k else rng.uniform(0.0, 2.0, n)
+    lo = np.maximum(m - rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8), 0.0)
+    up = m + rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+    rep = box = Box(RandVar(sp, lo), RandVar(sp, up))
+    bounds = list(zip(lo, up))
+    A_ub = b_ub = A_eq = b_eq = None
+    if kind == "polytope":
+        rep = Polytope([RandVar(sp, g) for g in gens])
+        bounds = [(None, None)] * n
+    elif kind == "box-polytope":
+        rep = Intersection([box, Polytope([RandVar(sp, g) for g in gens])])
+    elif kind == "box-halfspace":
+        c = rng.uniform(-1.0, 2.0, n)
+        level = float(np.dot(sp.probs * c, m)) + rng.uniform(0.0, 0.5)
+        rep = Intersection([box, Sublevel(sp, LinearFunctional(sp, c), level)])
+        A_ub, b_ub = [sp.probs * c], [level]
+    if k:
+        # s - gens^T w = 0 and sum w = 1, w >= 0
+        A_eq = np.block([[np.eye(n), -gens.T], [np.zeros((1, n)), np.ones((1, k))]])
+        b_eq = np.r_[np.zeros(n), 1.0]
+        bounds += [(0.0, None)] * k
+    pv = sp.probs * v
+    lp = dict(c=-np.r_[pv, np.zeros(k)], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+              b_eq=b_eq, bounds=bounds)
+    scale = 1.0 + float(np.abs(pv).sum()) * (
+        max(float(up.max()), gens.max(initial=0.0)) + float(np.abs(at.values).max()))
+    return rep, v, at, lp, scale
+
+
+def _lp_support(lp, v, at):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(method="highs", **lp)
+    assert res.status == 0, res.message
+    return -res.fun - float(np.dot(at.space.probs * v, at.values))
+
+
+class TestSupportAgainstLinprog:
+    """Differential: ``support(v, at)`` against scipy's LP optimum of
+    max E[v (s - at)] over the set."""
+
+    @pytest.mark.parametrize("kind", ["box", "polytope"])
+    def test_exact_kinds_attain_the_optimum(self, kind):
+        for seed in range(60):
+            rep, v, at, lp, scale = _random_support_case(kind, seed)
+            bound, s = rep.support(v, at)
+            assert bound == pytest.approx(_lp_support(lp, v, at), abs=1e-9 * scale), seed
+            # s is a member of C, and attains the bound
+            assert contains(rep, s, 0.0), seed
+            attained = float(np.dot(rep.space.probs * v, s.values - at.values))
+            assert attained == pytest.approx(bound, abs=1e-12 * scale), seed
+
+    @pytest.mark.parametrize("kind", ["box-polytope", "box-halfspace"])
+    def test_intersections_give_an_upper_bound(self, kind):
+        for seed in range(60):
+            rep, v, at, lp, scale = _random_support_case(kind, seed)
+            bound, s = rep.support(v, at)
+            assert s is None
+            assert bound >= _lp_support(lp, v, at) - 1e-9 * scale, seed
+            assert bound == min(part.support(v, at)[0] for part in rep.parts)
+
+    def test_sublevel_support_is_unknown(self):
+        for kind in ("linear", "quadratic", "pointwise"):
+            rep, f = _random_sublevel(kind, 3)
+            assert rep.support(np.ones(rep.space.n), f) == (np.inf, None)
+
+
+class TestIsBounded:
+    """Bounded exactly when the support at v = 1 is finite."""
+
+    def test_each_kind(self):
+        sp = uspace(2)
+        box = Box(rv(sp, 0.0, 0.0), rv(sp, 2.0, 2.0))
+        poly = Polytope([rv(sp, 1.0, 0.0), rv(sp, 0.0, 1.0)])
+        ball = Sublevel(sp, QuadraticFunctional(sp, np.eye(2)), 1.0)
+        half = Sublevel(sp, LinearFunctional(sp, np.array([1.0, -1.0])), 1.0)
+        is_bounded = cckit.convex.is_bounded
+        assert is_bounded(poly) and is_bounded(box)
+        assert is_bounded(Intersection([ball, box]))
+        assert is_bounded(Intersection([half, ball, poly]))
+        assert not is_bounded(ball)
+        assert not is_bounded(Intersection([ball, half]))
+
+
 class TestProjectSimplex:
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6))
     @settings(max_examples=300, deadline=None)

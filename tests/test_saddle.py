@@ -290,6 +290,73 @@ class TestVerifySaddle:
         assert vr.max_violation == pytest.approx(1.145, abs=1e-6)
 
 
+    def test_bilinear_box_game_is_exact(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no inner optimization on a bilinear box game")
+        monkeypatch.setattr(saddle_mod, "_inner_opt", refuse)
+        pennies = BilinearPayoff(U2, [[1.0, -1.0], [-1.0, 1.0]])
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        # at ((2, 0), (0, 2)): Phi = -2, sup_f Phi(f, g0) = 2 at the corner
+        # (0, 2), inf_g Phi(f0, g) = -2 at g0 itself
+        vr = verify_saddle(SaddleInstance(box, box, pennies), rv([2.0, 0.0]),
+                           rv([0.0, 2.0]), tol=1e-6)
+        assert vr.max_violation == 4.0
+        assert vr.witness["side"] == "f"
+        assert np.array_equal(vr.witness["point"].values, [0.0, 2.0])
+
+    def test_bilinear_box_polytope_game_is_exact(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no inner optimization on a box x polytope game")
+        monkeypatch.setattr(saddle_mod, "_inner_opt", refuse)
+        pennies = BilinearPayoff(U2, [[1.0, -1.0], [-1.0, 1.0]])
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        # at ((2, 0), e0): Phi = 1 = sup_f Phi(f, e0), inf_g Phi(f0, g) = -1
+        # at the generator e1 of D
+        vr = verify_saddle(SaddleInstance(box, SIMPLEX, pennies), rv([2.0, 0.0]),
+                           rv([1.0, 0.0]), tol=1e-6)
+        assert vr.max_violation == 2.0
+        assert vr.witness["side"] == "g"
+        assert vr.witness["point"] is SIMPLEX.generators[1]
+        # and with the sets swapped the polytope is the maximizer's
+        vr = verify_saddle(SaddleInstance(SIMPLEX, box, pennies), rv([1.0, 0.0]),
+                           rv([0.0, 2.0]), tol=1e-6)
+        assert vr.max_violation == 2.0
+        assert vr.witness["side"] == "f"
+        assert vr.witness["point"] is SIMPLEX.generators[1]
+
+    def test_payoff_terms_still_use_inner_optimization(self, monkeypatch):
+        calls = []
+        real = saddle_mod._inner_opt
+
+        def counting(payoff, fixed, side, over, tol):
+            calls.append(side)
+            return real(payoff, fixed, side, over, tol)
+        monkeypatch.setattr(saddle_mod, "_inner_opt", counting)
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        inst = SaddleInstance(box, box, BilinearPayoff(
+            U2, [[1.0, -0.5], [0.3, 0.8]], f_term="-x^2", g_term="x^2"))
+        verify_saddle(inst, rv([1.5, 0.2]), rv([0.5, 0.5]), tol=1e-6)
+        assert calls == ["f", "g"]
+
+
+class TestSolveDirectBudget:
+    def test_best_effort_exit(self, monkeypatch):
+        # one round of 2 iterations cannot close the gap of the strict box
+        # game: the best pair rides along in the NonConvergent certificate
+        monkeypatch.setattr(saddle_mod, "DIRECT_MAX_ROUNDS", 1)
+        monkeypatch.setattr(saddle_mod, "DIRECT_START_ITERS", 2)
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        inst = SaddleInstance(box, box, BilinearPayoff(
+            U2, [[1.0, -0.5], [0.3, 0.8]], f_term="-x^2", g_term="x^2"))
+        with pytest.raises(NonConvergent) as info:
+            solve_saddle(inst, tol=1e-9)
+        cert = info.value.certificate
+        assert cert.method == "extragradient (projected, best effort)"
+        assert cert.iterations == 2
+        assert cert.gap == cert.infsup - cert.supinf
+        assert cert.gap > 1e-9
+
+
 class TestGFamily:
     def _pennies(self):
         return SaddleInstance(
