@@ -6,7 +6,7 @@ import numpy as np
 from cckit import (
     CobbDouglasEconomy, ExcessDemandInstance,
     excess_demand, walras_check, check_hypotheses,
-    solve_excess_demand, tatonnement, InputError,
+    solve_excess_demand, InputError,
 )
 
 # two agents, two goods. agent 0 owns good 0, agent 1 owns good 1, and both
@@ -26,10 +26,16 @@ print("max corner violation:", report["max_violation"],
       "  rounds:", report["rounds"], " polish:", report["polish_iterations"])
 print("hypothesis checks:", report["hypothesis_checks"])
 
-# the classical price-adjustment iteration lands on the same point
-p_iter = tatonnement(econ, rate=0.05)
-print("price adjustment oracle:", np.round(p_iter, 8),
-      " max diff", np.abs(x.values - p_iter).max())
+# Cobb-Douglas clearing is linear in p: good j clears when
+# sum_i a_ij (p.e_i) = S_j p_j, S the total endowment. So the exact prices
+# solve [diag(S) - a^T e; 1^T] p = [0; 1], and the walk lands on them
+S = econ.endowments.sum(axis=0)
+K = np.vstack([np.diag(S) - econ.exponents.T @ econ.endowments,
+               np.ones(econ.goods)])
+p_exact = np.linalg.lstsq(K, np.append(np.zeros(econ.goods), 1.0), rcond=None)[0]
+print("exact linear solve:", np.round(p_exact, 8),
+      " max diff", np.abs(x.values - p_exact).max(),
+      " its excess demand", np.abs(excess_demand(econ, p_exact)).max())
 
 # a lopsided single-agent economy: spending shares (1/3, 2/3) with unit
 # endowments pin relative prices at 1:2

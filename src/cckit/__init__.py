@@ -69,12 +69,9 @@ from .komlos import (
     EscapeCertificate,
     ExtractState,
     SequenceSpec,
-    check_bounded_prefix,
     combo_mass_bound,
-    detect_escape,
     escape_eps,
     extract,
-    trace_to_jsonl,
 )
 from .coercive import (
     certificate_net,
@@ -106,7 +103,6 @@ from .equilibrium import (
     economy_from_json,
     excess_demand,
     solve_excess_demand,
-    tatonnement,
     walras_check,
 )
 

@@ -46,6 +46,8 @@ from .measure import (
     ProbSpace,
     RandVar,
     epsilon_of_M,
+    json_field,
+    json_floats,
     metric_d,
     phi_midpoint_gap,
     randvar_from_json,
@@ -117,8 +119,8 @@ def _certificate(command: str, digest: str | None, tol: float,
 # ---------------------------------------------------------------------------
 
 def _cmd_extract(obj: dict, tol: float, horizon_flag: int | None) -> dict:
-    space = space_from_json(_require(obj, "space"))
-    terms_json = _require(obj, "terms")
+    space = space_from_json(json_field(obj, "space", "instance"))
+    terms_json = json_field(obj, "terms", "instance")
     if not isinstance(terms_json, list) or not terms_json:
         raise InputError("'terms' must be a non-empty list")
     terms = [_term_to_randvar(t, space) for t in terms_json]
@@ -136,7 +138,7 @@ def _cmd_extract(obj: dict, tol: float, horizon_flag: int | None) -> dict:
     limit, trace = extract(seq, set_rep, tol)
     return {
         "limit": randvar_to_json(limit),
-        "stages": [json.loads(s.to_json_line()) for s in trace],
+        "stages": [s.to_json() for s in trace],
         "final_metric_step": trace[-1].metric_step if trace else None,
     }
 
@@ -144,13 +146,13 @@ def _cmd_extract(obj: dict, tol: float, horizon_flag: int | None) -> dict:
 def _term_to_randvar(t, space: ProbSpace) -> RandVar:
     if isinstance(t, dict):
         return randvar_from_json(t, space)
-    return RandVar(space, np.asarray(t, dtype=float))
+    return RandVar(space, json_floats(t, "a term or vertex", 1))
 
 
 def _cmd_minimize(obj: dict, tol: float) -> dict:
-    space = space_from_json(_require(obj, "space"))
-    func = functional_from_json(space, _require(obj, "functional"))
-    C = set_from_json(space, _require(obj, "set"))
+    space = space_from_json(json_field(obj, "space", "instance"))
+    func = functional_from_json(space, json_field(obj, "functional", "instance"))
+    C = set_from_json(space, json_field(obj, "set", "instance"))
     x, value, report = minimize(func, C, tol)
     bound = "fw_gap" if report["certificate"] == "fw-gap" else "net_margin"
     return {
@@ -165,21 +167,19 @@ def _cmd_minimize(obj: dict, tol: float) -> dict:
 
 
 def _cmd_saddle(obj: dict, tol: float) -> dict:
-    space = space_from_json(_require(obj, "space"))
-    payoff = payoff_from_json(space, _require(obj, "payoff"))
-    C = set_from_json(space, _require(obj, "C"))
-    D = set_from_json(space, _require(obj, "D"))
+    space = space_from_json(json_field(obj, "space", "instance"))
+    payoff = payoff_from_json(space, json_field(obj, "payoff", "instance"))
+    C = set_from_json(space, json_field(obj, "C", "instance"))
+    D = set_from_json(space, json_field(obj, "D", "instance"))
     inst = SaddleInstance(C, D, payoff)
     cert = solve_saddle(inst, tol)
     return cert.to_json()
 
 
 def _cmd_kkm(obj: dict, tol: float) -> dict:
-    space = space_from_json(_require(obj, "space"))
-    verts_json = _require(obj, "vertices")
-    sets_json = _require(obj, "sets")
-    if not isinstance(verts_json, list) or not isinstance(sets_json, list):
-        raise InputError("'vertices' and 'sets' must be lists")
+    space = space_from_json(json_field(obj, "space", "instance"))
+    verts_json = json_field(obj, "vertices", "instance", list)
+    sets_json = json_field(obj, "sets", "instance", list)
     vertices = [_term_to_randvar(v, space) for v in verts_json]
     sets = [set_from_json(space, s) for s in sets_json]
     inst = KKMInstance(vertices, sets)
@@ -293,12 +293,6 @@ def _cmd_check(suite: str, seed: int | None) -> dict:
             checks.append(c)
     return {"suite": suite, "checks": checks,
             "all_pass": all(c["pass"] for c in checks)}
-
-
-def _require(obj: dict, key: str):
-    if key not in obj:
-        raise InputError(f"instance is missing the {key!r} field")
-    return obj[key]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,15 @@ import numpy as np
 
 from .errors import BudgetExceededError, CurvatureError, InputError, SolverError
 from .functionals import functional_from_json, midpoint_scan, monotone_root
-from .measure import ProbSpace, RandVar, norm, randvar_from_json, randvar_to_json
+from .measure import (
+    ProbSpace,
+    RandVar,
+    json_field,
+    json_floats,
+    norm,
+    randvar_from_json,
+    randvar_to_json,
+)
 
 #: iteration cap for the active-set weight program
 SIMPLEX_QP_CAP = 10_000
@@ -453,17 +461,20 @@ def set_from_json(space: ProbSpace, obj: dict) -> ConvexSetRep:
         raise InputError("set JSON must be a single-key object naming the variant")
     (key, body), = obj.items()
     if key == "polytope":
-        gens = [randvar_from_json(g, space) for g in body["generators"]]
-        return Polytope(gens)
+        gens = json_field(body, "generators", "polytope", list)
+        return Polytope([randvar_from_json(g, space) for g in gens])
     if key == "box":
         return Box(
-            randvar_from_json(body["lower"], space),
-            randvar_from_json(body["upper"], space),
+            randvar_from_json(json_field(body, "lower", "box"), space),
+            randvar_from_json(json_field(body, "upper", "box"), space),
         )
     if key == "sublevel":
-        fn = functional_from_json(space, body["functional"])
-        return Sublevel(space, fn, float(body["level"]))
+        fn = functional_from_json(space, json_field(body, "functional", "sublevel"))
+        level = json_floats(json_field(body, "level", "sublevel"),
+                            "sublevel field 'level'", 0)
+        return Sublevel(space, fn, float(level))
     if key == "intersection":
-        return Intersection([set_from_json(space, s) for s in body["parts"]])
+        parts = json_field(body, "parts", "intersection", list)
+        return Intersection([set_from_json(space, s) for s in parts])
     raise InputError(f"unknown set variant {key!r}")
 

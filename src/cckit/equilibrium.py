@@ -26,8 +26,7 @@ scratch, is at most tol. Otherwise, as for tables whose equilibria sit on
 the boundary, a projected descent on m(x) = max_j F(x, v_j) (which is >= 0
 everywhere and 0 exactly at equilibria, again by Walras) takes over,
 stepping along the worst slice's row of the same Jacobian; and if that
-also misses tol the walk refines. Tatonnement lives here only as a
-diagnostic comparison route, never as the solver.
+also misses tol the walk refines.
 """
 from __future__ import annotations
 
@@ -48,7 +47,6 @@ __all__ = [
     "walras_check",
     "check_hypotheses",
     "solve_excess_demand",
-    "tatonnement",
     "economy_from_json",
 ]
 
@@ -119,15 +117,9 @@ def excess_demand(econ: CobbDouglasEconomy, p) -> np.ndarray:
         raise InputError("price vector length must equal the number of goods")
     if np.any(p_vals <= 0.0) or not np.all(np.isfinite(p_vals)):
         raise InputError("prices must be strictly positive and finite")
-    return _excess(econ.endowments, econ.exponents, econ.endowments.sum(axis=0),
-                   p_vals)
-
-
-def _excess(e: np.ndarray, a: np.ndarray, supply: np.ndarray,
-            p: np.ndarray) -> np.ndarray:
-    """Delta(p) for endowments e, shares a and supply e.sum(axis=0), with no
-    validation of p: the one place the demand arithmetic lives."""
-    return (a * (e @ p)[:, None]).sum(axis=0) / p - supply
+    e = econ.endowments
+    demand = (econ.exponents * (e @ p_vals)[:, None]).sum(axis=0) / p_vals
+    return demand - e.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,29 +411,6 @@ def _polish(inst: ExcessDemandInstance, x: RandVar, tol: float):
         else:
             break
     return x, it
-
-
-# ---------------------------------------------------------------------------
-# diagnostic oracle
-# ---------------------------------------------------------------------------
-
-def tatonnement(econ: CobbDouglasEconomy, rate: float = 0.05,
-                eta: float = DEFAULT_ETA, tol: float = 1e-10,
-                max_iters: int = 200_000) -> np.ndarray:
-    """Price adjustment p <- normalize(max(p + rate*Delta(p), eta)); a
-    comparison oracle for tests and demos only — the solver of record is
-    the covering walk in ``solve_excess_demand``."""
-    d = econ.goods
-    e, a = econ.endowments, econ.exponents
-    supply = e.sum(axis=0)
-    p = np.full(d, 1.0 / d)
-    for _ in range(max_iters):
-        delta = _excess(e, a, supply, p)  # p > 0 holds by the clamp below
-        if float(np.abs(delta).max()) <= tol:
-            break
-        p = np.clip(p + rate * delta, eta, None)
-        p = p / p.sum()
-    return p
 
 
 def economy_from_json(obj: dict) -> CobbDouglasEconomy:

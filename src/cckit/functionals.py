@@ -26,7 +26,14 @@ import numpy as np
 
 from .errors import CurvatureError, DomainError, InputError, SolverError
 from .expr import Expression
-from .measure import ProbSpace, RandVar, randvar_from_json, randvar_to_json
+from .measure import (
+    ProbSpace,
+    RandVar,
+    json_field,
+    json_floats,
+    randvar_from_json,
+    randvar_to_json,
+)
 
 #: a midpoint scan checks SCAN_PAIRS pairs in at most SCAN_DRAWS draws and
 #: wants SCAN_MIN_CHECKED of them where the map is defined
@@ -305,18 +312,18 @@ class PointwiseFunctional:
 
 def functional_from_json(space: ProbSpace, obj: dict):
     """Build a functional from its JSON form (see each class's to_json)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InputError("functional JSON needs a 'kind' field")
-    kind = obj["kind"]
+    kind = json_field(obj, "kind", "functional")
     if kind == "linear":
-        c = randvar_from_json(obj["c"], space)
+        c = randvar_from_json(json_field(obj, "c", "linear functional"), space)
         return LinearFunctional(space, c)
     if kind == "quadratic":
-        A = np.asarray(obj["A"], dtype=float)
+        A = json_floats(json_field(obj, "A", "quadratic functional"),
+                        "quadratic functional field 'A'", 2)
         b = randvar_from_json(obj["b"], space) if "b" in obj and obj["b"] is not None else None
         return QuadraticFunctional(space, A, b)
     if kind == "pointwise":
         return PointwiseFunctional(
-            space, obj["expr"], declared_convex=obj.get("declared_convex")
+            space, json_field(obj, "expr", "pointwise functional"),
+            declared_convex=obj.get("declared_convex"),
         )
     raise InputError(f"unknown functional kind {kind!r}")

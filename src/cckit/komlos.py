@@ -33,21 +33,12 @@ their meaning; a stage's weights sit on indices >= D by construction.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import (
-    Box,
-    ConvexSetRep,
-    Intersection,
-    Polytope,
-    WeightVector,
-    contains,
-    convex_combine,
-)
+from .convex import ConvexSetRep, WeightVector, contains, convex_combine
 from .errors import InputError, NonConvergent, SolverError, Unbounded
 from .measure import ProbSpace, RandVar, metric_d, prob_at_least
 
@@ -127,17 +118,14 @@ class ExtractState:
         pts = [self.seq.term(n) for n in self.indices]
         return convex_combine(pts, self.w)
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "D": self.D,
-                "u": self.u,
-                "gamma": self.gamma,
-                "weights": {str(n): w for n, w in sorted(self.weights_dict().items())},
-                "metric_d": self.metric_step,
-            },
-            sort_keys=True,
-        )
+    def to_json(self) -> dict:
+        return {
+            "D": self.D,
+            "u": self.u,
+            "gamma": self.gamma,
+            "weights": {str(n): w for n, w in sorted(self.weights_dict().items())},
+            "metric_d": self.metric_step,
+        }
 
 
 @dataclass(eq=False)
@@ -161,27 +149,8 @@ class EscapeCertificate:
 
 
 # ---------------------------------------------------------------------------
-# boundedness diagnostics
+# escape diagnostics
 # ---------------------------------------------------------------------------
-
-def check_bounded_prefix(seq: SequenceSpec, M_grid) -> dict:
-    """For each height M, the worst tail mass sup_n P[f_n >= M] up to the horizon."""
-    M_grid = list(M_grid)
-    if not M_grid:
-        raise InputError("M_grid must be nonempty")
-    prev = 0.0
-    for M in M_grid:
-        if M <= 0 or not math.isfinite(M) or M <= prev:
-            raise InputError("M_grid must be increasing and positive")
-        prev = M
-    per_M = []
-    for M in M_grid:
-        worst = 0.0
-        for n in range(1, seq.horizon + 1):
-            worst = max(worst, prob_at_least(seq.term(n), M))
-        per_M.append({"M": float(M), "sup": worst})
-    return {"per_M": per_M, "escaping": per_M[-1]["sup"] >= 0.5}
-
 
 def escape_eps(seq: SequenceSpec):
     """Escape level from the data: the largest eps such that at least half
@@ -365,18 +334,6 @@ def _restricted_newton(A: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarra
 # the extractor
 # ---------------------------------------------------------------------------
 
-def _validate_ambient(set_rep: ConvexSetRep):
-    if isinstance(set_rep, Polytope):
-        return
-    if isinstance(set_rep, Intersection) and all(
-        isinstance(part, (Box, Polytope)) for part in set_rep.parts
-    ):
-        return
-    raise InputError(
-        "ambient set must be a polytope or an intersection of boxes and polytopes"
-    )
-
-
 def extract(seq: SequenceSpec, set_rep: ConvexSetRep, tol: float):
     """Extract a limit of tail convex combinations, or certify escape.
 
@@ -384,11 +341,11 @@ def extract(seq: SequenceSpec, set_rep: ConvexSetRep, tol: float):
     when the escaping-mass detector fires at two consecutive stages with a
     meaningful height (threshold D*eps/2 >= 1), and ``NonConvergent`` when
     the Cauchy criterion is not met by the last tail stage (horizon too
-    short for the requested tolerance).
+    short for the requested tolerance). ``set_rep`` may be any convex set:
+    it is read only through ``contains``, on every term and on the limit.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tol must be positive and finite")
-    _validate_ambient(set_rep)
     if not seq.space.same(set_rep.space):
         raise InputError("sequence and set live on different spaces")
     for n in range(1, seq.horizon + 1):
@@ -503,28 +460,3 @@ def _build_certificate(seq, states, eps, delta, q_map) -> EscapeCertificate:
         delta=delta, thresholds=thresholds,
     )
 
-
-def detect_escape(trace, M_grid, delta: float):
-    """Certificate when the latest iterates hold mass >= delta above every
-    height in M_grid; None otherwise (including an empty grid or trace)."""
-    if not (0.0 < delta < 1.0):
-        raise InputError("delta must lie in (0, 1)")
-    M_grid = [float(M) for M in M_grid]
-    if not trace or not M_grid:
-        return None
-    latest = trace[-2:] if len(trace) >= 2 else trace[-1:]
-    for st in latest:
-        for M in M_grid:
-            if prob_at_least(st.g, M) < delta:
-                return None
-    seq = latest[-1].seq
-    eps, _start, q_map = escape_eps(seq)
-    if eps <= 0.0:
-        # mass sits high but the sequence itself shows no diagonal escape
-        eps = min(2.0 * delta, 1.0 - 1e-12)
-        q_map = {}
-    return _build_certificate(seq, latest, eps, delta, q_map)
-
-
-def trace_to_jsonl(trace) -> str:
-    return "\n".join(st.to_json_line() for st in trace)

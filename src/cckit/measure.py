@@ -274,15 +274,44 @@ def randvar_to_json(f: RandVar) -> dict:
     return out
 
 
+def json_field(obj, key: str, where: str, kind: type | None = None):
+    """``obj[key]`` from decoded JSON. Raises ``InputError`` naming ``where``
+    and ``key`` when ``obj`` is not an object, lacks the field, or holds a
+    value that is not a ``kind`` (dict or list)."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise InputError(f"{where} is missing the {key!r} field")
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise InputError(
+            f"{where} field {key!r} must be {expected}, got {type(value).__name__}"
+        )
+    return value
+
+
+def json_floats(value, where: str, ndim: int) -> np.ndarray:
+    """``value`` from decoded JSON as a float array with ``ndim`` axes (0 for
+    one number), or ``InputError`` naming ``where``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        shape = ("a number", "numbers", "a matrix of numbers")[ndim]
+        raise InputError(f"{where} must be {shape}")
+    return arr
+
+
 def randvar_from_json(obj: dict, space: ProbSpace | None = None) -> RandVar:
     if space is None:
         space = space_from_json(obj)
-    vals = obj.get("values")
-    if not isinstance(vals, dict):
-        raise InputError("random variable JSON needs a 'values' object")
+    vals = json_field(obj, "values", "random variable", dict)
     missing = [a for a in space.atoms if a not in vals]
     if missing:
         raise InputError(f"values missing for atoms {missing}")
     if len(vals) != space.n:
         raise InputError("values must cover exactly the space's atoms")
-    return RandVar(space, np.array([float(vals[a]) for a in space.atoms]))
+    return RandVar(space, json_floats([vals[a] for a in space.atoms],
+                                      "random variable 'values'", 1))

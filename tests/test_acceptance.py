@@ -52,7 +52,6 @@ from cckit import (
     space_from_json,
     sperner_solve,
     split_oplus,
-    tatonnement,
     verify_saddle,
 )
 from cckit.cli import main as cli_main
@@ -492,10 +491,10 @@ def test_06_minimax_and_cross_route():
 
 
 # ---------------------------------------------------------------------------
-# 7. market clearing: fixtures, budget identity, price-adjustment oracle
+# 7. market clearing: fixtures, budget identity, exact linear oracle
 # ---------------------------------------------------------------------------
 
-def test_07_market_clearing():
+def test_07_market_clearing(exact_prices):
     for name, target in (
         ("econ_symmetric.json", [0.5, 0.5]),
         ("econ_asymmetric.json", [1 / 3, 2 / 3]),
@@ -523,8 +522,8 @@ def test_07_market_clearing():
         worst_walras = max(worst_walras, abs(float(p @ excess_demand(econ, p))))
     assert worst_walras <= 1e-12
 
-    # demand-driven validation: the located prices match the independent
-    # price-adjustment iteration, and nothing clears better at the corners
+    # demand-driven validation: the located prices match the exact solve of
+    # the Cobb-Douglas clearing equations
     worst_agree = 0.0
     for _ in range(20):
         agents = int(rng.integers(1, 4))
@@ -536,19 +535,10 @@ def test_07_market_clearing():
         x, report = solve_excess_demand(
             ExcessDemandInstance.from_economy(econ), tol=1e-6
         )
-        # fixed-rate price adjustment can cycle when the step is too large
-        # for the economy at hand; shrink until the iteration itself lands
-        # on a verified rest point, so the oracle stays self-certifying
-        p_iter = None
-        for rate in (0.05, 0.02, 0.01, 0.005):
-            cand = tatonnement(econ, rate=rate)
-            if np.abs(excess_demand(econ, cand)).max() <= 1e-8:
-                p_iter = cand
-                break
-        assert p_iter is not None, "price adjustment found no rest point"
-        agree = np.abs(np.asarray(x.values) - p_iter).max()
+        # the exact linear solve certifies itself (excess demand <= 1e-12)
+        agree = np.abs(np.asarray(x.values) - exact_prices(econ)).max()
         worst_agree = max(worst_agree, float(agree))
-        assert agree <= 1e-4
+        assert agree <= 1e-9
         assert report["max_violation"] <= 1e-6
         # the first located cell seeds a certified Newton polish
         assert report["rounds"] <= 2

@@ -30,6 +30,19 @@ def fixture(name):
     return str(FIXTURES / name)
 
 
+def with_set(tmp_path, set_json, name="instance.json"):
+    """seq_alternating with `set_json` as its ambient set, written to a file."""
+    obj = json.loads((FIXTURES / "seq_alternating.json").read_text())
+    obj["set"] = set_json
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def values(w0, w1):
+    return {"values": {"w0": w0, "w1": w1}}
+
+
 def run_module(*argv, log):
     """Run `python -m cckit.cli` in a child process on this checkout's
     `src`, installed or not, with CCKIT_LOG set to `log`."""
@@ -73,6 +86,16 @@ class TestCommands:
         )
         assert code == 1
         assert doc["error"]["kind"] == "input"
+
+    def test_extract_over_a_bare_box(self, capsys, tmp_path):
+        box = {"box": {"lower": values(0.0, 0.0), "upper": values(1.0, 1.0)}}
+        results = []
+        for name, set_json in (("box.json", box),
+                               ("meet.json", {"intersection": {"parts": [box]}})):
+            code, doc = run_json(capsys, "extract", with_set(tmp_path, set_json, name))
+            assert code == 0
+            results.append(doc["result"])
+        assert results[0] == results[1]
 
     def test_minimize_jensen(self, capsys):
         code, doc = run_json(capsys, "minimize", fixture("minimize_jensen.json"))
@@ -186,6 +209,47 @@ class TestEnvelopesAndExitCodes:
         assert code == 2
         assert doc["error"]["kind"] == "kkm_violation"
         assert "witness" in doc["error"]
+
+    @pytest.mark.parametrize("set_json, names", [
+        ({"box": {"lower": [0.0, 0.0], "upper": values(1.0, 1.0)}},
+         "random variable must be a JSON object, got list"),
+        ({"box": {"lower": "zero", "upper": values(1.0, 1.0)}},
+         "random variable must be a JSON object, got str"),
+        ({"box": {"lower": values(0.0, 0.0)}}, "box is missing the 'upper'"),
+        ({"polytope": {}}, "polytope is missing the 'generators'"),
+        ({"intersection": {}}, "intersection is missing the 'parts'"),
+        ({"sublevel": {"level": 1.0}}, "sublevel is missing the 'functional'"),
+        ({"polytope": {"generators": 3}},
+         "polytope field 'generators' must be a list, got int"),
+        ({"box": 5}, "box must be a JSON object, got int"),
+        ({"box": {"lower": values("zero", 0.0), "upper": values(1.0, 1.0)}},
+         "random variable 'values' must be numbers"),
+        ({"sublevel": {"functional": {"kind": "linear", "c": values(1.0, 1.0)},
+                       "level": [1.0]}},
+         "sublevel field 'level' must be a number"),
+        ({"sublevel": {"functional": {"kind": "quadratic", "A": [[1.0, 0.0], [0.0]]},
+                       "level": 1.0}},
+         "quadratic functional field 'A' must be a matrix of numbers"),
+    ], ids=["randvar-list", "randvar-string", "box-no-upper",
+            "polytope-no-generators", "intersection-no-parts",
+            "sublevel-no-functional", "generators-int", "box-int",
+            "value-string", "level-list", "ragged-matrix"])
+    def test_malformed_set_is_an_input_error(self, capsys, tmp_path,
+                                             set_json, names):
+        code, doc = run_json(capsys, "extract", with_set(tmp_path, set_json))
+        assert code == 1
+        assert doc["error"]["kind"] == "input"
+        assert names in doc["error"]["message"]
+
+    def test_malformed_term_is_an_input_error(self, capsys, tmp_path):
+        obj = json.loads((FIXTURES / "seq_alternating.json").read_text())
+        obj["terms"][0] = "one, zero"
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        code, doc = run_json(capsys, "extract", str(path))
+        assert code == 1
+        assert doc["error"]["kind"] == "input"
+        assert "a term or vertex must be numbers" in doc["error"]["message"]
 
     def test_bad_log_level(self, capsys, monkeypatch):
         monkeypatch.setenv("CCKIT_LOG", "chatty")

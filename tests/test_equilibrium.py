@@ -15,7 +15,6 @@ from cckit import (
     economy_from_json,
     excess_demand,
     solve_excess_demand,
-    tatonnement,
     walras_check,
 )
 
@@ -252,41 +251,19 @@ class TestNewtonPolish:
 
 
 class TestTatonnement:
-    @staticmethod
-    def validated_loop(econ, rate=0.05, eta=1e-6, tol=1e-10, max_iters=200_000):
-        """The iteration through the validated public excess_demand."""
-        p = np.full(econ.goods, 1.0 / econ.goods)
-        for _ in range(max_iters):
-            delta = excess_demand(econ, p)
-            if float(np.abs(delta).max()) <= tol:
-                break
-            p = np.clip(p + rate * delta, eta, None)
-            p = p / p.sum()
-        return p
+    """The covering solver against the exact linear-solve oracle."""
 
-    def test_iterates_match_the_validated_loop_bit_for_bit(self):
-        econs = three_good_economies(21, 4) + [SYMMETRIC, ASYMMETRIC]
-        for econ in econs:
-            for rate, tol, iters in ((0.05, 1e-10, 200_000), (0.5, 0.0, 3000)):
-                assert np.array_equal(
-                    tatonnement(econ, rate=rate, tol=tol, max_iters=iters),
-                    self.validated_loop(econ, rate=rate, tol=tol,
-                                        max_iters=iters),
-                )
-
-    def test_agrees_with_covering_solver(self):
+    def test_agrees_with_covering_solver(self, exact_prices):
         inst = ExcessDemandInstance.from_economy(SYMMETRIC)
         x, _ = solve_excess_demand(inst, tol=1e-6)
-        p = tatonnement(SYMMETRIC)
-        assert np.abs(p - x.values).max() <= 1e-4
+        assert np.abs(exact_prices(SYMMETRIC) - x.values).max() <= 1e-9
 
-    def test_asymmetric_agreement(self):
+    def test_asymmetric_agreement(self, exact_prices):
         inst = ExcessDemandInstance.from_economy(ASYMMETRIC)
         x, _ = solve_excess_demand(inst, tol=1e-6)
-        p = tatonnement(ASYMMETRIC)
-        assert np.abs(p - x.values).max() <= 1e-4
+        assert np.abs(exact_prices(ASYMMETRIC) - x.values).max() <= 1e-9
 
-    def test_excess_demand_small_at_fixed_point(self):
-        p = tatonnement(SYMMETRIC)
-        z = excess_demand(SYMMETRIC, p)
-        assert np.abs(z).max() <= 1e-6
+    def test_excess_demand_small_at_fixed_point(self, exact_prices):
+        for econ in (SYMMETRIC, ASYMMETRIC):
+            z = excess_demand(econ, exact_prices(econ))
+            assert np.abs(z).max() <= 1e-12

@@ -1,6 +1,9 @@
 """Functional layer: linear / quadratic / pointwise values, gradients,
 curvature gates, and the JSON codec."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +93,50 @@ class TestQuadratic:
     def test_shape_gate(self):
         with pytest.raises(InputError):
             QuadraticFunctional(U2, np.eye(3))
+
+    def test_prox_step_back_meets_kkt(self):
+        # the active set frees a coordinate that the next solve drives
+        # negative, so the prox steps back and drops it again
+        space = ProbSpace.uniform(3)
+        rng = np.random.default_rng(146)
+        M = rng.normal(size=(3, 3))
+        A = M @ M.T
+        b = rng.normal(size=3)
+        y = rng.normal(size=3)
+        mu = rng.uniform(0.1, 5)
+        G = QuadraticFunctional(space, A, b)
+        src, first = inspect.getsourcelines(QuadraticFunctional.prox)
+        step_back = first + next(i for i, line in enumerate(src)
+                                 if line.strip().startswith("ratio ="))
+        ran = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not QuadraticFunctional.prox.__code__:
+                return None
+
+            def lines(frame, event, arg):
+                ran.add(frame.f_lineno)
+                return lines
+            return lines
+
+        sys.settrace(tracer)
+        try:
+            x = G.prox(rv(space, y), mu).values
+        finally:
+            sys.settrace(None)
+        assert step_back in ran
+        # KKT of min x.Hx/2 - r.x over x >= 0
+        p = space.probs
+        H = p[:, None] * (np.eye(3) + mu * A)
+        r = p * (y - mu * b)
+        slope = H @ x - r
+        assert np.all(x >= 0.0)
+        assert np.abs(slope[x > 0.0]).max(initial=0.0) <= 1e-12
+        assert np.all(slope[x == 0.0] >= 0.0)
+        nnls = pytest.importorskip("scipy.optimize").nnls
+        L = np.linalg.cholesky(H)  # x.Hx/2 - r.x = |L^T x - L^-1 r|^2/2 + c
+        ref, _ = nnls(L.T, np.linalg.solve(L, r))
+        assert np.abs(x - ref).max() <= 1e-12
 
     @given(
         a=st.floats(-10, 10),

@@ -19,15 +19,12 @@ from cckit import (
     SequenceSpec,
     Unbounded,
     WeightVector,
-    check_bounded_prefix,
     combo_mass_bound,
     contains,
-    detect_escape,
     escape_eps,
     extract,
     metric_d,
     prob_at_least,
-    trace_to_jsonl,
 )
 
 U2 = ProbSpace.uniform(2)
@@ -116,27 +113,6 @@ class TestSequenceSpec:
 
 
 class TestBoundednessDiagnostics:
-    def test_bounded_prefix_on_alternating(self):
-        rep = check_bounded_prefix(alternating_seq(32), [1.0, 2.0, 4.0])
-        sups = [row["sup"] for row in rep["per_M"]]
-        assert sups == [0.5, 0.0, 0.0]
-        assert rep["escaping"] is False
-
-    def test_bounded_prefix_on_escaper(self):
-        rep = check_bounded_prefix(escaping_seq(32), [1.0, 2.0, 4.0])
-        sups = [row["sup"] for row in rep["per_M"]]
-        assert sups == [0.5, 0.5, 0.5]
-        assert rep["escaping"] is True
-
-    def test_grid_validation(self):
-        s = alternating_seq(8)
-        with pytest.raises(InputError):
-            check_bounded_prefix(s, [])
-        with pytest.raises(InputError):
-            check_bounded_prefix(s, [2.0, 1.0])
-        with pytest.raises(InputError):
-            check_bounded_prefix(s, [-1.0, 1.0])
-
     def test_escape_eps_on_escaper(self):
         eps, start, q_map = escape_eps(escaping_seq(64))
         assert start == 16
@@ -474,45 +450,13 @@ class TestWarmStart:
             assert komlos._best_vertex(pool, p) == int(np.argmax(loop))
 
 
-class TestDetectEscape:
-    def _bounded_trace(self):
-        f = rv(U2, [5.0, 5.0])
-        s = SequenceSpec(U2, lambda n: f, 64)
-        _, trace = extract(s, Polytope([f]), tol=1e-9)
-        return trace
-
-    def test_detects_high_mass(self):
-        trace = self._bounded_trace()
-        cert = detect_escape(trace, [1.0, 2.0, 4.0], delta=0.4)
-        assert cert is not None
-        assert cert.delta == 0.4
-        assert 0.0 < cert.eps < 1.0
-
-    def test_none_when_mass_below_grid(self):
-        trace = self._bounded_trace()
-        assert detect_escape(trace, [10.0], delta=0.4) is None
-
-    def test_none_on_empty_inputs(self):
-        trace = self._bounded_trace()
-        assert detect_escape(trace, [], delta=0.4) is None
-        assert detect_escape([], [1.0], delta=0.4) is None
-
-    def test_delta_validation(self):
-        trace = self._bounded_trace()
-        with pytest.raises(InputError):
-            detect_escape(trace, [1.0], delta=0.0)
-        with pytest.raises(InputError):
-            detect_escape(trace, [1.0], delta=1.0)
-
-
 class TestTraceSerialization:
     def test_jsonl_lines_parse(self):
         s = alternating_seq(64)
         _, trace = extract(s, ambient_for(s), tol=1e-6)
-        lines = trace_to_jsonl(trace).splitlines()
-        assert len(lines) == len(trace)
-        first = json.loads(lines[0])
-        assert set(first) == {"D", "u", "gamma", "weights", "metric_d"}
-        assert first["metric_d"] is None
-        for line in lines[1:]:
-            assert json.loads(line)["metric_d"] is not None
+        stages = [st.to_json() for st in trace]
+        for stage in stages:
+            assert set(stage) == {"D", "u", "gamma", "weights", "metric_d"}
+            assert json.loads(json.dumps(stage)) == stage
+        assert stages[0]["metric_d"] is None
+        assert all(stage["metric_d"] is not None for stage in stages[1:])
