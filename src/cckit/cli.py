@@ -124,7 +124,10 @@ def _cmd_extract(obj: dict, tol: float, horizon_flag: int | None) -> dict:
     if not isinstance(terms_json, list) or not terms_json:
         raise InputError("'terms' must be a non-empty list")
     terms = [_term_to_randvar(t, space) for t in terms_json]
-    horizon = int(obj.get("horizon", len(terms)))
+    horizon = json_floats(obj.get("horizon", len(terms)), "'horizon'", 0)
+    if not (horizon >= 1 and float(horizon).is_integer()):
+        raise InputError("'horizon' must be an integer >= 1")
+    horizon = int(horizon)
     if horizon_flag is not None:
         horizon = horizon_flag
     if horizon > len(terms):
@@ -195,7 +198,7 @@ def _cmd_kkm(obj: dict, tol: float) -> dict:
 
 
 def _cmd_equilibrium(obj: dict, tol: float) -> dict:
-    eta = float(obj.get("eta", 1e-6))
+    eta = float(json_floats(obj.get("eta", 1e-6), "'eta'", 0))
     if "table" in obj:
         inst = ExcessDemandInstance.from_table(obj["table"], eta=eta)
     else:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cckit.cli import main
@@ -251,6 +252,43 @@ class TestEnvelopesAndExitCodes:
         assert doc["error"]["kind"] == "input"
         assert "a term or vertex must be numbers" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("command, name, field, value, names", [
+        ("saddle", "saddle_pennies", ("payoff", "kernel"), [[1.0, -1.0], [-1.0]],
+         "payoff 'kernel' must be a matrix of numbers"),
+        ("saddle", "saddle_pennies", ("payoff", "kernel"), [1.0, -1.0],
+         "payoff 'kernel' must be a matrix of numbers"),
+        ("saddle", "saddle_pennies", ("payoff", "f_term"), 5,
+         "payoff 'f_term' must be an expression string"),
+        ("saddle", "saddle_pennies", ("payoff", "g_term"), ["x^2"],
+         "payoff 'g_term' must be an expression string"),
+        ("extract", "seq_alternating", ("horizon",), "x",
+         "'horizon' must be a number"),
+        ("extract", "seq_alternating", ("horizon",), 1.5,
+         "'horizon' must be an integer >= 1"),
+        ("extract", "seq_alternating", ("horizon",), 0,
+         "'horizon' must be an integer >= 1"),
+        ("equilibrium", "econ_symmetric", ("eta",), "x",
+         "'eta' must be a number"),
+        ("equilibrium", "econ_symmetric", ("eta",), [1e-6],
+         "'eta' must be a number"),
+    ], ids=["kernel-ragged", "kernel-vector", "f-term-int", "g-term-list",
+            "horizon-string", "horizon-fraction", "horizon-zero",
+            "eta-string", "eta-list"])
+    def test_malformed_number_or_payoff_is_an_input_error(
+            self, capsys, tmp_path, command, name, field, value, names):
+        obj = json.loads((FIXTURES / f"{name}.json").read_text())
+        *parents, key = field
+        target = obj
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        code, doc = run_json(capsys, command, str(path))
+        assert code == 1
+        assert doc["error"]["kind"] == "input"
+        assert names in doc["error"]["message"]
+
     def test_bad_log_level(self, capsys, monkeypatch):
         monkeypatch.setenv("CCKIT_LOG", "chatty")
         code, doc = run_json(capsys, "check")
@@ -263,6 +301,32 @@ class TestDeterminism:
         _, first = run_cli(capsys, "equilibrium", fixture("econ_symmetric.json"))
         _, second = run_cli(capsys, "equilibrium", fixture("econ_symmetric.json"))
         assert first == second
+
+    def test_projected_saddle_is_byte_identical(self, capsys, tmp_path,
+                                                closed_form_gap):
+        # the game_expr shape: [0, 1]^3 for both players, terms -x^2, x^2
+        n = 3
+        K = np.random.default_rng(601).uniform(-1.0, 1.0, size=(n, n))
+        space = {"atoms": [f"w{i}" for i in range(n)], "probs": [repr(1.0 / n)] * n}
+
+        def randvar(vals):
+            return dict(space, values={f"w{i}": v for i, v in enumerate(vals)})
+        box = {"box": {"lower": randvar([0.0] * n), "upper": randvar([1.0] * n)}}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({
+            "space": space, "C": box, "D": box,
+            "payoff": {"kernel": K.tolist(), "f_term": "-x^2", "g_term": "x^2"},
+        }))
+        code, first = run_cli(capsys, "saddle", str(path))
+        _, second = run_cli(capsys, "saddle", str(path))
+        assert code == 0
+        assert first == second
+        result = json.loads(first)["result"]
+        f0, g0 = ([result[k]["values"][f"w{i}"] for i in range(n)]
+                  for k in ("f0", "g0"))
+        assert result["method"] == "extragradient (projected)"
+        assert closed_form_gap(K, np.full(n, 1.0 / n), np.zeros(n), np.ones(n),
+                               np.asarray(f0), np.asarray(g0)) <= 1e-6
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         _, stdout_text = run_cli(capsys, "saddle", fixture("saddle_pennies.json"))

@@ -3,7 +3,7 @@ extragradient path, verification, and the induced direct-sum set family."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cckit.saddle as saddle_mod
@@ -12,6 +12,7 @@ from cckit import (
     Box,
     CurvatureError,
     InputError,
+    Intersection,
     KKMInstance,
     LinearFunctional,
     NonConvergent,
@@ -355,6 +356,118 @@ class TestSolveDirectBudget:
         assert cert.iterations == 2
         assert cert.gap == cert.infsup - cert.supinf
         assert cert.gap > 1e-9
+
+
+def game_expr_shape(n, seed):
+    """Both players on [0, 1]^n over the uniform space, kernel drawn from
+    uniform(-1, 1), payoff terms -x^2 and x^2: the benchmark's game_expr."""
+    space = ProbSpace.uniform(n)
+    box = Box(RandVar(space, np.zeros(n)), RandVar(space, np.ones(n)))
+    K = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n))
+    pay = BilinearPayoff(space, K, f_term="-x^2", g_term="x^2")
+    return SaddleInstance(box, box, pay)
+
+
+class TestProjectedCertificate:
+    """The projected path checks each candidate by the saddle Frank-Wolfe
+    bound, one support call per set, after rounds of 16, 32, 64, ...
+    iterations; a set whose support is only a bound keeps the certified
+    inner optimization."""
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_game_expr_shape_certifies_from_supports(self, monkeypatch,
+                                                     closed_form_gap, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no inner optimization where both supports are exact")
+        monkeypatch.setattr(saddle_mod, "_inner_opt", refuse)
+        for seed in (601, 1, 7):
+            inst = game_expr_shape(n, seed)
+            cert = solve_saddle(inst, tol=1e-6)
+            assert cert.iterations <= 128
+            assert cert.gap <= 1e-6
+            assert cert.method == "extragradient (projected)"
+            assert cert.supinf <= cert.value <= cert.infsup
+            assert closed_form_gap(inst.payoff.K, inst.space.probs, np.zeros(n),
+                                   np.ones(n), cert.f0.values, cert.g0.values) <= 1e-6
+
+    def test_sublevel_set_falls_back_to_inner_optimization(self, monkeypatch):
+        sides = []
+        real = saddle_mod._inner_opt
+
+        def counting(payoff, fixed, side, over, tol):
+            sides.append(side)
+            return real(payoff, fixed, side, over, tol)
+        monkeypatch.setattr(saddle_mod, "_inner_opt", counting)
+        box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
+        # E[f] <= 1 inside the box: the intersection's support is a bound
+        C = Intersection([box, Sublevel(U2, LinearFunctional(U2, np.ones(2)), 1.0)])
+        inst = SaddleInstance(C, box, BilinearPayoff(
+            U2, [[1.0, -0.5], [0.3, 0.8]], f_term="-x^2", g_term="x^2"))
+        cert = solve_saddle(inst, tol=1e-6)
+        assert cert.gap <= 1e-6
+        assert cert.method == "extragradient (projected)"
+        assert sides and sides == ["g", "f"] * (len(sides) // 2)
+        assert verify_saddle(inst, cert.f0, cert.g0, tol=1e-6).ok
+
+    @staticmethod
+    def _draw_set(rng, kind, space):
+        """A box or a polytope on the space, and a random member of it."""
+        n = space.n
+        if kind == "box":
+            lo = rng.uniform(0.0, 1.0, size=n)
+            up = lo + rng.uniform(0.1, 2.0, size=n)
+            point = lo + rng.uniform(0.0, 1.0, size=n) * (up - lo)
+            return Box(RandVar(space, lo), RandVar(space, up)), RandVar(space, point)
+        gens = rng.uniform(0.0, 2.0, size=(int(rng.integers(1, 5)), n))
+        point = rng.dirichlet(np.ones(len(gens))) @ gens
+        return Polytope([RandVar(space, g) for g in gens]), RandVar(space, point)
+
+    @staticmethod
+    def _draw_payoff(rng, space, terms):
+        K = rng.uniform(-2.0, 2.0, size=(space.n, space.n))
+        return BilinearPayoff(space, K, *(("-x^2", "x^2") if terms else ()))
+
+    @staticmethod
+    def _draw_space(rng, n):
+        probs = 0.5 / n + 0.5 * rng.dirichlet(np.ones(n))
+        return ProbSpace(tuple(f"w{i}" for i in range(n)), probs)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           terms=st.booleans())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bound_dominates_the_closed_form_gap(self, closed_form_gap,
+                                                 seed, n, terms):
+        rng = np.random.default_rng(seed)
+        space = self._draw_space(rng, n)
+        box, f0 = self._draw_set(rng, "box", space)
+        lo, up = box.lower.values, box.upper.values
+        g0 = RandVar(space, lo + rng.uniform(0.0, 1.0, size=n) * (up - lo))
+        inst = SaddleInstance(box, box, self._draw_payoff(rng, space, terms))
+        supinf, infsup = saddle_mod._pair_bounds(inst, f0, g0, 1e-6)
+        curv = 1.0 if terms else 0.0
+        exact = closed_form_gap(inst.payoff.K, space.probs, lo, up,
+                                f0.values, g0.values, curv, curv)
+        assert infsup - supinf >= exact - 1e-12
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+           terms=st.booleans(),
+           kinds=st.sampled_from([("box", "box"), ("box", "polytope"),
+                                  ("polytope", "box"),
+                                  ("polytope", "polytope")]))
+    @settings(max_examples=30, deadline=None)
+    def test_bound_dominates_the_inner_optimization_gap(self, seed, n, terms,
+                                                        kinds):
+        tol = 1e-6
+        rng = np.random.default_rng(seed)
+        space = self._draw_space(rng, n)
+        C, f0 = self._draw_set(rng, kinds[0], space)
+        D, g0 = self._draw_set(rng, kinds[1], space)
+        inst = SaddleInstance(C, D, self._draw_payoff(rng, space, terms))
+        supinf, infsup = saddle_mod._pair_bounds(inst, f0, g0, tol)
+        inner_lo, _ = saddle_mod._inner_opt(inst.payoff, f0, "g", D, tol)
+        inner_hi, _ = saddle_mod._inner_opt(inst.payoff, g0, "f", C, tol)
+        assert infsup - supinf >= (inner_hi - inner_lo) - tol
 
 
 class TestGFamily:
