@@ -133,10 +133,17 @@ class Polytope(ConvexSetRep):
         # a generator is found without comparing it to every column
         self._generator_keys = {(col + 0.0).tobytes() for col in self._cols.T}
 
-    def weights_for(self, f: RandVar, tol: float = 1e-9):
-        """Best weight vector reproducing f, and the residual distance."""
+    def weights_for(self, f: RandVar, tol: float = 1e-9,
+                    start: WeightVector | None = None):
+        """Best weight vector reproducing f, and the residual distance.
+        ``start``, weights for a nearby point, warm-starts the program."""
         b = f.values * self._root_p
-        w, dist, _ = _simplex_lsq(self._A, b)
+        if start is None:
+            w, dist, _ = _simplex_lsq(self._A, b)
+        else:
+            if start.weights.size != len(self.generators):
+                raise InputError("start weights must align with the generators")
+            w, dist, _ = _simplex_lsq(self._A, b, start.weights)
         return WeightVector(w), dist
 
     def _contains(self, f, tol):
@@ -317,20 +324,27 @@ def project(set_rep: ConvexSetRep, f: RandVar, tol: float = 1e-9) -> RandVar:
 # the weight-simplex least-squares program (active set, Lawson-Hanson style)
 # ---------------------------------------------------------------------------
 
-def _simplex_lsq(A: np.ndarray, b: np.ndarray):
+def _simplex_lsq(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = None):
     """min ||A w - b|| over w >= 0, sum w = 1.
 
     Active-set iteration with lowest-index tie-breaks; finite termination
-    in exact arithmetic, hard cap ``SIMPLEX_QP_CAP`` otherwise. Returns
-    (w, residual_norm, iterations).
+    in exact arithmetic, hard cap ``SIMPLEX_QP_CAP`` otherwise. Without
+    ``start`` it begins at the best single column; a feasible ``start``
+    begins there instead, its support the first passive set (Lawson &
+    Hanson 1974, ch. 23), so a nearby solution restarts in a step or two.
+    Returns (w, residual_norm, iterations).
     """
     n, k = A.shape
     scale = 1.0 + float(np.abs(A).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
     col_err = np.linalg.norm(A - b[:, None], axis=0)
     first = int(np.argmin(col_err))  # argmin returns the lowest index on ties
-    passive = [first]
-    w = np.zeros(k)
-    w[first] = 1.0
+    if start is None:
+        passive = [first]
+        w = np.zeros(k)
+        w[first] = 1.0
+    else:
+        w = np.array(start, dtype=float)  # a copy: w is updated in place
+        passive = np.flatnonzero(w > 0.0).tolist()
 
     def kkt_solve(idx):
         Ap = A[:, idx]
@@ -402,24 +416,40 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 # iterative projections
 # ---------------------------------------------------------------------------
 
-def _dykstra(parts, f: RandVar, tol: float) -> RandVar:
-    """Dykstra's alternating projections onto an intersection."""
+def _dykstra(parts, f: RandVar, tol: float, accept=None):
+    """Dykstra's alternating projections onto an intersection (Boyle &
+    Dykstra, 1986).
+
+    The sweep keeps the iterate and the increments as value arrays and
+    builds a ``RandVar`` only where an array enters a part's ``_project``,
+    so every projected point still passes its shape and finiteness check.
+    Without ``accept`` it returns the first iterate whose sweep moved it at
+    most ``1e-15 + 0.01 tol`` and that lies in every part, membership being
+    tested only then. With ``accept``, ``accept(x)`` also runs after sweeps
+    1, 2, 4, 8, ... and after every sweep that stops moving; its first
+    non-None result is returned, and None when the iterate settles in every
+    part without one. ``DYKSTRA_CAP`` bounds the sweeps either way.
+    """
+    space = f.space
     x = f
-    zero = RandVar(f.space, np.zeros(f.space.n))
-    incs = [zero] * len(parts)
-    for sweep in range(DYKSTRA_CAP):
-        x_prev = x
+    incs = [np.zeros(space.n)] * len(parts)
+    for sweep in range(1, DYKSTRA_CAP + 1):
+        x_prev = x.values
         for i, part in enumerate(parts):
-            y = x + incs[i]
-            xp = part._project(y, tol)
-            incs[i] = y - xp
-            x = xp
+            y = x.values + incs[i]
+            x = part._project(RandVar(space, y), tol)
+            incs[i] = y - x.values
+        # norm(x - x_prev), on the arrays
+        moved = math.sqrt(max(0.0, float(np.dot(x.space.probs, (x.values - x_prev) ** 2))))
+        settled = moved <= 1e-15 + 0.01 * tol
+        if accept is not None and (settled or sweep & (sweep - 1) == 0):
+            found = accept(x)
+            if found is not None:
+                return found
         # membership (a weight program for a polytope part) is re-tested
         # only once the sweep has stopped moving
-        if norm(x - x_prev) <= 1e-15 + 0.01 * tol and all(
-            part._contains(x, max(tol, 1e-12)) for part in parts
-        ):
-            return x
+        if settled and all(part._contains(x, max(tol, 1e-12)) for part in parts):
+            return x if accept is None else None
     raise BudgetExceededError(
         f"Dykstra did not converge in {DYKSTRA_CAP} sweeps "
         "(empty or badly conditioned intersection?)"

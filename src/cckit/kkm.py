@@ -28,12 +28,15 @@ offending point is raised as a witness.
 The walk is the localizer. When every set projects and the vertices are
 nonnegative, the first located cell whose barycenter misses ``tol`` is
 polished once: Dykstra's alternating projections (Boyle & Dykstra, 1986)
-run from that barycenter onto conv(vertices) and the sets, and the result
-is mapped back through its hull weights, so it lies in conv(vertices) by
-construction. Membership-only families skip the polish. Either way a
-point is accepted only when its distance to every set, re-measured by
-independent projection, is at most ``tol``; otherwise refinement doubles
-q and walks again, never trusting the walk or the polish.
+run from that barycenter onto the sets and then conv(vertices), so every
+sweep ends at a hull point ``point_at(w)``. The hull step warm-starts each
+weight program from the previous sweep's weights, and the sweep itself
+runs on value arrays. After sweeps 1, 2, 4, 8, ... the distances are
+re-measured, and the first iterate within ``tol/4`` of every set is taken.
+Membership-only families skip the polish. Either way a point is accepted
+only when its distance to every set, re-measured by independent
+projection, is at most ``tol``; otherwise refinement doubles q and walks
+again, never trusting the walk or the polish.
 """
 from __future__ import annotations
 
@@ -80,6 +83,9 @@ MAX_RESOLUTION = 2 ** 25
 
 #: membership slack used while labeling (kept far below any honest tol)
 LABEL_TOL = 1e-9
+
+#: a polished point is accepted once every distance is at most this * tol
+POLISH_MARGIN = 0.25
 
 _SPOT_SEED = 20240903
 
@@ -476,24 +482,48 @@ def _can_polish(inst: KKMInstance) -> bool:
     return bool(np.all(inst._V >= 0.0)) and all(map(_projectable, inst.sets))
 
 
+class _HullStep:
+    """conv(vertices) as the last part of the polish's Dykstra sweep. Its
+    projection is ``inst.point_at(w)`` for the hull weights w of the nearest
+    hull point, each weight program warm-started from the previous sweep's
+    weights, which ``w`` keeps for this one polish."""
+
+    def __init__(self, inst: KKMInstance):
+        self.inst = inst
+        self.hull = Polytope(inst.vertices)
+        self.w = None
+
+    def _project(self, f: RandVar, tol: float) -> RandVar:
+        self.w, _ = self.hull.weights_for(f, tol, start=self.w)
+        return self.inst.point_at(self.w.weights)
+
+    def _contains(self, f: RandVar, tol: float) -> bool:
+        return self.hull._contains(f, tol)
+
+
 def _polish(inst: KKMInstance, start: RandVar, tol: float):
-    """Dykstra from ``start`` onto conv(vertices) ∩ F_1 ∩ ... ∩ F_d, mapped
-    back through the hull's weights so the point lies in conv(vertices) by
-    construction. Returns (weights, point, distances) when every re-measured
-    distance is at most ``tol``, else None (also when a projection gives
-    up). Where the sets only touch, as tangent balls do, Dykstra converges
-    sublinearly and gives up only after ``DYKSTRA_CAP`` sweeps."""
-    hull = Polytope(inst.vertices)
+    """Dykstra from ``start`` onto F_1 ∩ ... ∩ F_d ∩ conv(vertices), the hull
+    projected last, so every sweep ends at a hull point ``inst.point_at(w)``.
+    After sweeps 1, 2, 4, 8, ... (and once a sweep stops moving) each
+    distance is re-measured by ``_distance_to``, and the first iterate with
+    every distance at most tol/4 is returned as (weights, point, distances);
+    the quarter leaves room for the re-measurement's own error, as the
+    Frank-Wolfe gap rule in ``minimize`` does. Returns None when no sweep
+    qualifies or a projection gives up. Where the sets only touch, as
+    tangent balls do, Dykstra converges sublinearly and gives up only after
+    ``DYKSTRA_CAP`` sweeps."""
+    hull = _HullStep(inst)
+
+    def accept(x):
+        dists = [_distance_to(s, x, tol) for s in inst.sets]
+        if max(dists) <= POLISH_MARGIN * tol:
+            return hull.w.weights, x, dists
+        return None
+
     try:
-        x = _dykstra([hull, *inst.sets], start, min(tol, 1e-9))
-        w, _ = hull.weights_for(x)
+        return _dykstra([*inst.sets, hull], start, min(tol, 1e-9), accept)
     except SolverError:  # BudgetExceededError included
         return None
-    point = inst.point_at(w.weights)
-    dists = [_distance_to(s, point, tol) for s in inst.sets]
-    if max(dists) > tol:
-        return None
-    return w.weights, point, dists
 
 
 # ---------------------------------------------------------------------------

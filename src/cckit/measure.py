@@ -293,11 +293,15 @@ def json_field(obj, key: str, where: str, kind: type | None = None):
 
 def json_floats(value, where: str, ndim: int) -> np.ndarray:
     """``value`` from decoded JSON as a float array with ``ndim`` axes (0 for
-    one number), or ``InputError`` naming ``where``."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    one number), or ``InputError`` naming ``where``. One number must be a
+    JSON number: ``true`` and ``"8"`` are refused, not read as 1 and 8."""
+    if ndim == 0 and (isinstance(value, bool) or not isinstance(value, (int, float))):
         arr = None
+    else:
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
     if arr is None or arr.ndim != ndim:
         shape = ("a number", "numbers", "a matrix of numbers")[ndim]
         raise InputError(f"{where} must be {shape}")

@@ -46,7 +46,7 @@ from .convex import (
     project,
     project_simplex,
 )
-from .coercive import minimize
+from .coercive import _reference, minimize
 from .errors import CurvatureError, InputError, NonConvergent
 from .functionals import LinearFunctional, PointwiseFunctional, midpoint_scan
 from .measure import (
@@ -422,8 +422,8 @@ def _solve_direct(inst: SaddleInstance, tol: float) -> SaddleCertificate:
     L = _spectral_norm(B) + _term_curvature_bound(payoff)
     step = 0.9 / max(L, 1e-12)
 
-    f = inst.C.reference_point()
-    g = inst.D.reference_point()
+    f = _reference(inst.C)  # InputError for a set without one, as in minimize
+    g = _reference(inst.D)
     proj_tol = min(tol, 1e-9)
     total = 0
     iters = DIRECT_START_ITERS

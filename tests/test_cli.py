@@ -228,13 +228,20 @@ class TestEnvelopesAndExitCodes:
         ({"sublevel": {"functional": {"kind": "linear", "c": values(1.0, 1.0)},
                        "level": [1.0]}},
          "sublevel field 'level' must be a number"),
+        ({"sublevel": {"functional": {"kind": "linear", "c": values(1.0, 1.0)},
+                       "level": "1.0"}},
+         "sublevel field 'level' must be a number"),
+        ({"sublevel": {"functional": {"kind": "linear", "c": values(1.0, 1.0)},
+                       "level": True}},
+         "sublevel field 'level' must be a number"),
         ({"sublevel": {"functional": {"kind": "quadratic", "A": [[1.0, 0.0], [0.0]]},
                        "level": 1.0}},
          "quadratic functional field 'A' must be a matrix of numbers"),
     ], ids=["randvar-list", "randvar-string", "box-no-upper",
             "polytope-no-generators", "intersection-no-parts",
             "sublevel-no-functional", "generators-int", "box-int",
-            "value-string", "level-list", "ragged-matrix"])
+            "value-string", "level-list", "level-string", "level-bool",
+            "ragged-matrix"])
     def test_malformed_set_is_an_input_error(self, capsys, tmp_path,
                                              set_json, names):
         code, doc = run_json(capsys, "extract", with_set(tmp_path, set_json))
@@ -263,6 +270,10 @@ class TestEnvelopesAndExitCodes:
          "payoff 'g_term' must be an expression string"),
         ("extract", "seq_alternating", ("horizon",), "x",
          "'horizon' must be a number"),
+        ("extract", "seq_alternating", ("horizon",), "8",
+         "'horizon' must be a number"),
+        ("extract", "seq_alternating", ("horizon",), True,
+         "'horizon' must be a number"),
         ("extract", "seq_alternating", ("horizon",), 1.5,
          "'horizon' must be an integer >= 1"),
         ("extract", "seq_alternating", ("horizon",), 0,
@@ -271,9 +282,12 @@ class TestEnvelopesAndExitCodes:
          "'eta' must be a number"),
         ("equilibrium", "econ_symmetric", ("eta",), [1e-6],
          "'eta' must be a number"),
+        ("equilibrium", "econ_symmetric", ("eta",), False,
+         "'eta' must be a number"),
     ], ids=["kernel-ragged", "kernel-vector", "f-term-int", "g-term-list",
-            "horizon-string", "horizon-fraction", "horizon-zero",
-            "eta-string", "eta-list"])
+            "horizon-string", "horizon-numeric-string", "horizon-bool",
+            "horizon-fraction", "horizon-zero", "eta-string", "eta-list",
+            "eta-bool"])
     def test_malformed_number_or_payoff_is_an_input_error(
             self, capsys, tmp_path, command, name, field, value, names):
         obj = json.loads((FIXTURES / f"{name}.json").read_text())
@@ -288,6 +302,21 @@ class TestEnvelopesAndExitCodes:
         assert code == 1
         assert doc["error"]["kind"] == "input"
         assert names in doc["error"]["message"]
+
+    def test_saddle_over_a_bare_sublevel_is_an_input_error(self, capsys,
+                                                           tmp_path):
+        # a sublevel set has no reference point to start the projected
+        # extragradient from: a typed refusal, as minimize gives
+        obj = json.loads((FIXTURES / "saddle_pennies.json").read_text())
+        obj["C"] = {"sublevel": {"functional": {"kind": "linear",
+                                                "c": values(1.0, 1.0)},
+                                 "level": 1.0}}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        code, doc = run_json(capsys, "saddle", str(path))
+        assert code == 1
+        assert doc["error"]["kind"] == "input"
+        assert doc["error"]["message"] == "set exposes no reference point"
 
     def test_bad_log_level(self, capsys, monkeypatch):
         monkeypatch.setenv("CCKIT_LOG", "chatty")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cckit.convex
 from cckit import (
@@ -186,6 +187,60 @@ class TestPolytopeMembershipDifferential:
                     checked_out += not expected
         # both verdicts are exercised
         assert checked_in > 100 and checked_out > 100
+
+
+@st.composite
+def weight_programs(draw):
+    """A small weight program (A, b) and a shift db of its target."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(6, n + 1)))
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+    A = draw(hnp.arrays(float, (n, k), elements=entries))
+    b = draw(hnp.arrays(float, n, elements=entries))
+    db = draw(hnp.arrays(float, n, elements=st.floats(-0.1, 0.1, allow_subnormal=False)))
+    return A, b, db
+
+
+class TestWeightProgramWarmStart:
+    """``_simplex_lsq`` warm-started from the solution for a nearby target
+    against the cold solve of its own target."""
+
+    @staticmethod
+    def strictly_complementary(A, b, w, scale):
+        # every zero weight's column would raise the objective at rate
+        # >= 1e-9 scale^2, so the final passive set is the support
+        grad = A.T @ (A @ w - b)
+        slack = float(np.dot(w, grad)) - grad
+        return bool(np.all(slack[w == 0.0] <= -1e-9 * scale * scale))
+
+    @given(weight_programs())
+    @settings(max_examples=300, deadline=None)
+    def test_warm_start_agrees_with_the_cold_solve(self, program):
+        A, b, db = program
+        lsq = cckit.convex._simplex_lsq
+        near, _, _ = lsq(A, b + db)
+        cold, cold_res, _ = lsq(A, b)
+        warm, warm_res, _ = lsq(A, b, near)
+        assert np.all(warm >= 0.0) and abs(float(warm.sum()) - 1.0) <= 1e-12
+        # the rest needs a well-posed program: lstsq's rank cutoff leaves a
+        # singular passive system off its KKT point, warm or cold
+        if np.linalg.cond(np.vstack([A, np.ones(A.shape[1])])) > 1e6:
+            return
+        # both stop at a dual slack of 1e-12 scale^2, which bounds the
+        # objective 0.5 |A w - b|^2 above its minimum by as much
+        scale = 1.0 + float(np.abs(A).max()) + float(np.abs(b).max())
+        assert abs(warm_res ** 2 - cold_res ** 2) <= 2e-12 * scale ** 2
+        if (self.strictly_complementary(A, b, cold, scale)
+                and self.strictly_complementary(A, b, warm, scale)
+                and np.array_equal(warm > 0.0, cold > 0.0)):
+            # one final passive set: one final KKT solve, the same bits
+            assert np.array_equal(warm, cold)
+
+    def test_a_start_that_does_not_fit_is_refused(self):
+        sp = uspace(2)
+        poly = Polytope([rv(sp, 1.0, 0.0), rv(sp, 0.0, 1.0)])
+        with pytest.raises(InputError, match="align with the generators"):
+            poly.weights_for(rv(sp, 0.5, 0.5), start=WeightVector(np.ones(3) / 3))
 
 
 class TestBox:

@@ -544,15 +544,20 @@ class TestGFamily:
     def test_cross_route_projections_are_cheap(self, monkeypatch):
         # the halfspace families of ten transversal 2x2 games, picked by
         # the acceptance cross route's rule: each projection evaluates the
-        # functional a few times (3.6 on average, membership tests
-        # included), since its root search starts from the linearization,
-        # which is exact for an unclamped halfspace
-        calls = {"project": 0, "value": 0}
+        # functional a few times (about 2.4 on average), since its root
+        # search starts from the linearization, which is exact for an
+        # unclamped halfspace. The walk's membership labels make about
+        # 13,000 more evaluations, however few projections the polish needs.
+        calls = {"project": 0, "value": 0, "inside": 0}
         project, value = Sublevel._project, LinearFunctional.value
 
         def counted_project(self, f, tol):
             calls["project"] += 1
-            return project(self, f, tol)
+            before = calls["value"]
+            try:
+                return project(self, f, tol)
+            finally:
+                calls["inside"] += calls["value"] - before
 
         def counted_value(self, f):
             calls["value"] += 1
@@ -575,7 +580,8 @@ class TestGFamily:
             made += 1
             inst = SaddleInstance(SIMPLEX, SIMPLEX, BilinearPayoff(U2, K))
             sperner_solve(KKMInstance(verts, build_G_family(inst, pairs)), tol=5e-5)
-        assert calls["value"] <= 4 * calls["project"]
+        assert calls["inside"] <= 3 * calls["project"]
+        assert calls["value"] < 30_000
 
     def test_cross_route_agrees_with_extragradient(self):
         # solve pennies a second way: walk the simplex over the G family
