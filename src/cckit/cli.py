@@ -200,7 +200,8 @@ def _cmd_kkm(obj: dict, tol: float) -> dict:
 def _cmd_equilibrium(obj: dict, tol: float) -> dict:
     eta = float(json_floats(obj.get("eta", 1e-6), "'eta'", 0))
     if "table" in obj:
-        inst = ExcessDemandInstance.from_table(obj["table"], eta=eta)
+        inst = ExcessDemandInstance.from_table(
+            json_floats(obj["table"], "'table'", 2), eta=eta)
     else:
         econ = economy_from_json(obj)
         inst = ExcessDemandInstance.from_economy(econ, eta=eta)

@@ -38,7 +38,7 @@ import numpy as np
 from .convex import ConvexSetRep, Polytope, project
 from .errors import InputError, NonConvergent
 from .kkm import KKMInstance, locate_complete_cell, STEP_CAP
-from .measure import ProbSpace, RandVar
+from .measure import ProbSpace, RandVar, json_field, json_floats
 
 __all__ = [
     "CobbDouglasEconomy",
@@ -414,16 +414,12 @@ def _polish(inst: ExcessDemandInstance, x: RandVar, tol: float):
 
 
 def economy_from_json(obj: dict) -> CobbDouglasEconomy:
-    if not isinstance(obj, dict) or "agents" not in obj:
-        raise InputError("economy JSON needs an 'agents' list")
-    agents = obj["agents"]
+    agents = json_field(obj, "agents", "economy", list)
     if not agents:
         raise InputError("economy needs at least one agent")
-    try:
-        e = np.array([a["endowment"] for a in agents], dtype=float)
-        al = np.array([a["exponents"] for a in agents], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed agent entry: {exc}") from exc
-    if "goods" in obj and int(obj["goods"]) != e.shape[1]:
+    e, al = [json_floats([json_field(a, key, "agent") for a in agents],
+                         f"agent {key!r} rows", 2)
+             for key in ("endowment", "exponents")]
+    if "goods" in obj and json_floats(obj["goods"], "'goods'", 0) != e.shape[1]:
         raise InputError("declared goods count disagrees with agent rows")
     return CobbDouglasEconomy(endowments=e, exponents=al)

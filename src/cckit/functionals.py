@@ -323,7 +323,7 @@ def functional_from_json(space: ProbSpace, obj: dict):
         return QuadraticFunctional(space, A, b)
     if kind == "pointwise":
         return PointwiseFunctional(
-            space, json_field(obj, "expr", "pointwise functional"),
+            space, json_field(obj, "expr", "pointwise functional", str),
             declared_convex=obj.get("declared_convex"),
         )
     raise InputError(f"unknown functional kind {kind!r}")

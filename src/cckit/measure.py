@@ -239,11 +239,8 @@ def space_to_json(space: ProbSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> ProbSpace:
-    try:
-        atoms = [str(a) for a in obj["atoms"]]
-        raw = obj["probs"]
-    except (KeyError, TypeError) as e:
-        raise InputError(f"space JSON needs 'atoms' and 'probs': {e}")
+    atoms = [str(a) for a in json_field(obj, "atoms", "space", list)]
+    raw = json_field(obj, "probs", "space", list)
     if len(raw) != len(atoms):
         raise InputError("probs must align with atoms")
     try:
@@ -277,14 +274,14 @@ def randvar_to_json(f: RandVar) -> dict:
 def json_field(obj, key: str, where: str, kind: type | None = None):
     """``obj[key]`` from decoded JSON. Raises ``InputError`` naming ``where``
     and ``key`` when ``obj`` is not an object, lacks the field, or holds a
-    value that is not a ``kind`` (dict or list)."""
+    value that is not a ``kind`` (dict, list or str)."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise InputError(f"{where} is missing the {key!r} field")
     value = obj[key]
     if kind is not None and not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise InputError(
             f"{where} field {key!r} must be {expected}, got {type(value).__name__}"
         )

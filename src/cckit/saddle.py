@@ -2,23 +2,22 @@
 
 The payoff shape is Phi(f, g) = E[f * (K g)] + E[a(f)] + E[b(g)] with a
 concave and b convex (both optional, given as scalar expressions), so
-Phi is concave in f and convex in g. ``solve_saddle`` runs an
-extragradient scheme in doubling rounds and returns the first candidate
-whose duality gap is within tol.
+Phi is concave in f and convex in g. ``solve_saddle`` runs Korpelevich's
+extragradient scheme in rounds of 16, 32, 64, ... iterations and, after
+each round, returns the first candidate pair whose duality gap is within
+tol. Since Phi is concave-convex, its linearization at (f0, g0) bounds
+the gap by one support call per set (the saddle form of the Frank-Wolfe
+gap, Gidel, Jebara & Lacoste-Julien 2017); on polytopes with a bilinear
+payoff this bound is the exact generator gap, and where a set's support
+is only a bound, certified inner minimization measures each side instead.
+Only the stepping and the candidates depend on the game:
 
-- Both sets polytopes and the payoff purely bilinear: the scheme works in
-  generator-weight space, where the gap of a candidate pair is computable
-  exactly from the generators, and a support-equalization polish usually
-  lands on the saddle itself. The gap is checked after rounds of 256, 512,
-  1024, ... iterations, so an easy game stops after a few hundred.
-- Otherwise (projected path): the iterates are projected onto the sets,
-  and the last iterate, then the average, is checked after rounds of 16,
-  32, 64, ... iterations. Since Phi is concave-convex, its linearization
-  at (f0, g0) bounds the gap by one support call per set (the saddle form
-  of the Frank-Wolfe gap, Gidel, Jebara & Lacoste-Julien 2017); where a
-  set's support is only a bound, certified inner minimization measures
-  each side instead. A strongly monotone game stops after a few dozen
-  iterations.
+- Both sets polytopes and the payoff purely bilinear: the scheme steps
+  generator weights on two simplices, and offers a support-equalization
+  polish (which usually lands on the saddle itself), the average, the
+  last iterate, then a polish on the near-best responses.
+- Otherwise: the scheme steps points and projects them onto the sets, and
+  offers the last iterate, then the average.
 
 ``build_G_family`` encodes, for chosen pairs (f, g), the sets
 
@@ -75,24 +74,15 @@ _SPOT_SEED = 20240904
 #: payoff terms are checked for curvature on [0, CURVATURE_SCALE]
 CURVATURE_SCALE = 16.0
 
-#: matrix games: extragradient iterations in the first round; each round
-#: doubles the count and ends with the support polish and the exact
-#: generator gap check, so an easy game stops after a few hundred
-EG_START_ITERS = 256
+#: extragradient iterations in the first round; each round doubles the
+#: count and ends with a gap check of each candidate, so an easy game
+#: stops after a few dozen
+START_ITERS = 16
 
-#: matrix games: rounds before giving up, 256 * (2**13 - 1) ~ 2.1M
-#: iterations in all
-EG_MAX_ROUNDS = 13
-
-#: projected path: extragradient iterations in the first round; each round
-#: doubles the count and ends with a gap check of the last iterate, then of
-#: the average, so a strongly monotone game stops after a few dozen
-DIRECT_START_ITERS = 16
-
-#: projected path: rounds before giving up, 16 * (2**14 - 1) ~ 262k
-#: iterations in all; each gap check is one support call per set, or two
-#: certified minimizations where a set's support is only a bound
-DIRECT_MAX_ROUNDS = 14
+#: rounds before giving up, 16 * (2**14 - 1) ~ 262k iterations in all;
+#: each gap check is one support call per set, or two certified
+#: minimizations where a set's support is only a bound
+MAX_ROUNDS = 14
 
 
 class BilinearPayoff:
@@ -209,8 +199,7 @@ def solve_saddle(inst: SaddleInstance, tol: float = 1e-6) -> SaddleCertificate:
     """A pair (f0, g0) whose duality gap infsup - supinf is at most tol.
 
     The gap is measured against the sets, never by trusting the iteration:
-    exact generator sweeps for bilinear polytope instances, one support
-    call per set otherwise, and certified inner optimization where a
+    one support call per set, or certified inner optimization where a
     set's support is only a bound. On budget exhaustion the best pair
     found rides along in the NonConvergent certificate.
     """
@@ -218,80 +207,83 @@ def solve_saddle(inst: SaddleInstance, tol: float = 1e-6) -> SaddleCertificate:
         raise InputError("tol must be positive and finite")
     if (isinstance(inst.C, Polytope) and isinstance(inst.D, Polytope)
             and inst.payoff.is_bilinear):
-        return _solve_matrix_game(inst, tol)
-    return _solve_direct(inst, tol)
+        x, y, ops, step, candidates = _weight_path(inst)
+        method = "extragradient+polish"
+        best_effort = "extragradient+polish (best effort)"
+    else:
+        x, y, ops, step, candidates = _point_path(inst, tol)
+        method = "extragradient (projected)"
+        best_effort = "extragradient (projected, best effort)"
+    if not math.isfinite(step):
+        raise InputError(f"extragradient step {step!r} is not finite: "
+                         "the payoff's scale overflows")
 
-
-def _solve_matrix_game(inst: SaddleInstance, tol: float) -> SaddleCertificate:
-    """Generator-weight extragradient with support polish; all gap
-    measurements are exact generator sweeps."""
-    p = inst.space.probs
-    U = np.column_stack([v.values for v in inst.C.generators])
-    W = np.column_stack([v.values for v in inst.D.generators])
-    M = U.T @ (p[:, None] * inst.payoff.K) @ W
-    a, b = M.shape
-
-    norm_M = _spectral_norm(M)
-    step = 0.9 / max(norm_M, 1e-12)
-    u = np.full(a, 1.0 / a)
-    w = np.full(b, 1.0 / b)
-    total_iters = 0
-    iters = EG_START_ITERS
+    total = 0
+    iters = START_ITERS
     best = None
-
-    for _round in range(EG_MAX_ROUNDS):
-        u, w, u_avg, w_avg = _eg_rounds(M, u, w, step, iters)
-        total_iters += iters
-        candidates = (
-            _support_polish(M, _apparent_support(u_avg), _apparent_support(w_avg)),
-            (u_avg, w_avg),
-            (u, w),
-            # last, supports that keep a strategy whose equilibrium weight
-            # is too small for the apparent support
-            _support_polish(M, *_near_best_responses(M, u_avg, w_avg)),
-        )
-        for uc, wc in filter(None, candidates):  # a failed polish is None
-            gap, lo, hi = _game_gap(M, uc, wc)
-            if best is None or gap < best[0]:
-                best = (gap, lo, hi, uc, wc)
-            if gap <= tol:
-                return _package_game(inst, U, W, M, uc, wc, total_iters,
-                                     "extragradient+polish")
+    for _round in range(MAX_ROUNDS):
+        x, y, x_avg, y_avg = _extragradient(x, y, *ops, step, iters)
+        total += iters
+        for f0, g0 in candidates(x, y, x_avg, y_avg):
+            supinf, infsup = _pair_bounds(inst, f0, g0, tol)
+            found = (infsup - supinf, supinf, infsup, f0, g0)
+            if best is None or found[0] < best[0]:
+                best = found
+            if found[0] <= tol:
+                return _certificate(inst, found, total, method)
         iters *= 2
-    gap, lo, hi, uc, wc = best
-    cert = _package_game(inst, U, W, M, uc, wc, total_iters,
-                         "extragradient+polish (best effort)")
+    cert = _certificate(inst, best, total, best_effort)
     raise NonConvergent(
-        f"duality gap stalled at {gap:.3e} > tol {tol:g} "
-        f"after {total_iters} iterations",
+        f"duality gap stalled at {cert.gap:.3e} > tol {tol:g} after {total} iterations",
         certificate=cert,
     )
 
 
-def _eg_rounds(M, u, w, step, iters):
+def _extragradient(x, y, grad_x, grad_y, proj_x, proj_y, step, iters):
+    """Korpelevich's extragradient for max over x, min over y: iters steps
+    from (x, y), which are weight arrays or RandVars. Returns the last
+    iterate and the values of the average of the second half's iterates."""
     half = iters // 2
-    u_acc = np.zeros_like(u)
-    w_acc = np.zeros_like(w)
-    kept = 0
+    x_sum = y_sum = 0.0
     for k in range(iters):
-        uh = project_simplex(u + step * (M @ w))
-        wh = project_simplex(w - step * (M.T @ u))
-        u = project_simplex(u + step * (M @ wh))
-        w = project_simplex(w - step * (M.T @ uh))
+        xh = proj_x(x + step * grad_x(x, y))
+        yh = proj_y(y - step * grad_y(x, y))
+        x = proj_x(x + step * grad_x(xh, yh))
+        y = proj_y(y - step * grad_y(xh, yh))
         if k >= half:
-            u_acc += u
-            w_acc += w
-            kept += 1
-    if kept == 0:
-        return u, w, u, w
-    return u, w, u_acc / kept, w_acc / kept
+            x_sum = x_sum + getattr(x, "values", x)
+            y_sum = y_sum + getattr(y, "values", y)
+    kept = iters - half
+    return x, y, x_sum / kept, y_sum / kept
 
 
-def _game_gap(M, u, w):
-    """Exact duality gap of a weight pair over the generators."""
-    hi = float((M @ w).max())        # best pure response of the maximizer
-    lo = float((M.T @ u).min())      # best pure response of the minimizer
-    return hi - lo, lo, hi
+def _weight_path(inst: SaddleInstance):
+    """Generator weights u, w on the simplices, stepped on the weighted
+    game M = U^T diag(p) K W; the candidates are points U u, W w."""
+    space = inst.space
+    U = np.column_stack([v.values for v in inst.C.generators])
+    W = np.column_stack([v.values for v in inst.D.generators])
+    M = U.T @ (space.probs[:, None] * inst.payoff.K) @ W
+    a, b = M.shape
+    step = 0.9 / max(_spectral_norm(M), 1e-12)
+    ops = (lambda u, w: M @ w, lambda u, w: M.T @ u,
+           project_simplex, project_simplex)
+
+    def candidates(u, w, u_avg, w_avg):
+        for uc, wc in filter(None, _weight_candidates(M, u, w, u_avg, w_avg)):
+            yield RandVar(space, U @ uc), RandVar(space, W @ wc)
+
+    return np.full(a, 1.0 / a), np.full(b, 1.0 / b), ops, step, candidates
+
+
+def _weight_candidates(M, u, w, u_avg, w_avg):
+    """Weight pairs to certify, in order; a failed polish is None."""
+    yield _support_polish(M, _apparent_support(u_avg), _apparent_support(w_avg))
+    yield u_avg, w_avg
+    yield u, w
+    # last, supports that keep a strategy whose equilibrium weight is too
+    # small for the apparent support
+    yield _support_polish(M, *_near_best_responses(M, u_avg, w_avg))
 
 
 def _apparent_support(x):
@@ -301,7 +293,9 @@ def _apparent_support(x):
 
 def _near_best_responses(M, u, w):
     """Pure strategies within the pair's duality gap of a best response."""
-    gap, lo, hi = _game_gap(M, u, w)
+    hi = float((M @ w).max())        # best pure response of the maximizer
+    lo = float((M.T @ u).min())      # best pure response of the minimizer
+    gap = hi - lo
     return np.flatnonzero(M @ w >= hi - gap), np.flatnonzero(M.T @ u <= lo + gap)
 
 
@@ -333,15 +327,12 @@ def _support_polish(M, su, sw):
     return u_new / u_new.sum(), w_new / w_new.sum()
 
 
-def _package_game(inst, U, W, M, u, w, iters, method) -> SaddleCertificate:
-    gap, lo, hi = _game_gap(M, u, w)
-    f0 = RandVar(inst.space, U @ u)
-    g0 = RandVar(inst.space, W @ w)
-    value = inst.payoff.value(f0, g0)
+def _certificate(inst, found, iterations, method) -> SaddleCertificate:
+    gap, supinf, infsup, f0, g0 = found
     return SaddleCertificate(
-        f0=f0, g0=g0, value=value,
-        supinf=lo, infsup=hi, gap=gap,
-        iterations=iters, method=method,
+        f0=f0, g0=g0, value=inst.payoff.value(f0, g0),
+        supinf=supinf, infsup=infsup, gap=gap,
+        iterations=iterations, method=method,
     )
 
 
@@ -349,17 +340,19 @@ def _spectral_norm(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     v = np.full(M.shape[1], 1.0 / math.sqrt(M.shape[1]))
-    for _ in range(60):
-        x = M.T @ (M @ v)
-        nx = float(np.linalg.norm(x))
-        if nx <= 0.0:
-            return 0.0
-        v = x / nx
-    return float(np.linalg.norm(M @ v))
+    # a huge finite M overflows to nan here, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(60):
+            x = M.T @ (M @ v)
+            nx = float(np.linalg.norm(x))
+            if nx <= 0.0:
+                return 0.0
+            v = x / nx
+        return float(np.linalg.norm(M @ v))
 
 
 # ---------------------------------------------------------------------------
-# general (projected) path
+# the support bound, and the projected path
 # ---------------------------------------------------------------------------
 
 class _FrozenArgFunctional:
@@ -413,60 +406,25 @@ def _pair_bounds(inst: SaddleInstance, f0: RandVar, g0: RandVar,
     return value - viol_g, value + viol_f
 
 
-def _solve_direct(inst: SaddleInstance, tol: float) -> SaddleCertificate:
+def _point_path(inst: SaddleInstance, tol: float):
+    """Points of C and D, stepped along the payoff's gradients and projected
+    back; the candidates are the last iterate, then the average."""
     payoff = inst.payoff
     space = inst.space
-    p = space.probs
-    rp = np.sqrt(p)
+    rp = np.sqrt(space.probs)
     B = (rp[:, None] * payoff.K) / rp[None, :]
-    L = _spectral_norm(B) + _term_curvature_bound(payoff)
-    step = 0.9 / max(L, 1e-12)
-
-    f = _reference(inst.C)  # InputError for a set without one, as in minimize
-    g = _reference(inst.D)
+    step = 0.9 / max(_spectral_norm(B) + _term_curvature_bound(payoff), 1e-12)
     proj_tol = min(tol, 1e-9)
-    total = 0
-    iters = DIRECT_START_ITERS
-    best = None
-    for _round in range(DIRECT_MAX_ROUNDS):
-        f_acc = np.zeros(space.n)
-        g_acc = np.zeros(space.n)
-        kept = 0
-        half = iters // 2
-        for k in range(iters):
-            fh = project(inst.C, RandVar(space, f.values + step * payoff.grad_f(f, g)), proj_tol)
-            gh = project(inst.D, RandVar(space, g.values - step * payoff.grad_g(f, g)), proj_tol)
-            f = project(inst.C, RandVar(space, f.values + step * payoff.grad_f(fh, gh)), proj_tol)
-            g = project(inst.D, RandVar(space, g.values - step * payoff.grad_g(fh, gh)), proj_tol)
-            if k >= half:
-                f_acc += f.values
-                g_acc += g.values
-                kept += 1
-        total += iters
-        f_avg = RandVar(space, f_acc / kept)
-        g_avg = RandVar(space, g_acc / kept)
-        for fc, gc in ((f, g), (f_avg, g_avg)):
-            supinf, infsup = _pair_bounds(inst, fc, gc, tol)
-            gap = infsup - supinf
-            if best is None or gap < best[0]:
-                best = (gap, supinf, infsup, fc, gc)
-            if gap <= tol:
-                return SaddleCertificate(
-                    f0=fc, g0=gc, value=payoff.value(fc, gc),
-                    supinf=supinf, infsup=infsup, gap=gap,
-                    iterations=total, method="extragradient (projected)",
-                )
-        iters *= 2
-    gap, supinf, infsup, fc, gc = best
-    cert = SaddleCertificate(
-        f0=fc, g0=gc, value=payoff.value(fc, gc),
-        supinf=supinf, infsup=infsup, gap=gap,
-        iterations=total, method="extragradient (projected, best effort)",
-    )
-    raise NonConvergent(
-        f"duality gap stalled at {gap:.3e} > tol {tol:g} after {total} iterations",
-        certificate=cert,
-    )
+    ops = (payoff.grad_f, payoff.grad_g,
+           lambda f: project(inst.C, f, proj_tol),
+           lambda g: project(inst.D, g, proj_tol))
+
+    def candidates(f, g, f_avg, g_avg):
+        yield f, g
+        yield RandVar(space, f_avg), RandVar(space, g_avg)
+
+    # InputError for a set without a reference point, as in minimize
+    return _reference(inst.C), _reference(inst.D), ops, step, candidates
 
 
 def _term_curvature_bound(payoff: BilinearPayoff) -> float:

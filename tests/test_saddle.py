@@ -26,6 +26,7 @@ from cckit import (
     direct_sum,
     oplus,
     payoff_from_json,
+    project_simplex,
     solve_saddle,
     sperner_solve,
     split_oplus,
@@ -181,12 +182,15 @@ class TestMatrixGameSchedule:
     """The matrix-game path checks the exact gap after every doubling round,
     starting small; the counts below are deterministic."""
 
+    #: the most iterations seeds 0-5 take: 2, 5 and 6 rounds of 16, 32, ...
+    ITERATIONS = {3: 48, 10: 496, 30: 1008}
+
     @pytest.mark.parametrize("k", [3, 10, 30])
     def test_random_games_stop_within_four_rounds(self, k):
         for seed in range(6):
             cert = solve_saddle(basis_game(k, seed), tol=1e-6)
             assert cert.gap <= 1e-6
-            assert cert.iterations <= 4096
+            assert cert.iterations <= self.ITERATIONS[k]
             assert cert.method == "extragradient+polish"
 
     def test_tiny_equilibrium_weight_is_polished(self):
@@ -200,11 +204,11 @@ class TestMatrixGameSchedule:
 
     def test_budget_exhaustion_reports_the_whole_schedule(self, monkeypatch):
         monkeypatch.setattr(saddle_mod, "_support_polish", lambda *a, **kw: None)
-        monkeypatch.setattr(saddle_mod, "EG_MAX_ROUNDS", 2)
+        monkeypatch.setattr(saddle_mod, "MAX_ROUNDS", 2)
         with pytest.raises(NonConvergent) as info:
             solve_saddle(basis_game(10, 0), tol=1e-9)
         cert = info.value.certificate
-        schedule = [saddle_mod.EG_START_ITERS * 2 ** r for r in range(2)]
+        schedule = [saddle_mod.START_ITERS * 2 ** r for r in range(2)]
         assert cert.iterations == sum(schedule)
         assert cert.gap > 1e-9
         assert cert.method == "extragradient+polish (best effort)"
@@ -236,6 +240,54 @@ class TestMatrixGameAgainstLinprog:
             cert = solve_saddle(inst, tol=1e-9)
             A = inst.space.probs[:, None] * inst.payoff.K
             assert cert.value == pytest.approx(self._lp_value(A), abs=1e-7)
+
+
+class TestSupportBoundOnPolytopes:
+    """Differential check: on two polytopes with a bilinear payoff, the
+    support bound of a candidate (U u, W w) is the exact generator gap
+    (min M^T u, max M w) of the weighted game M = U^T diag(p) K W."""
+
+    @staticmethod
+    def _game(k, generators, seed):
+        rng = np.random.default_rng([k, seed])
+        space = ProbSpace(tuple(f"w{i}" for i in range(k)),
+                          rng.dirichlet(np.ones(k)))
+        sets = []
+        for _ in range(2):
+            if generators == "basis":
+                cols = np.eye(k)
+            else:
+                cols = rng.uniform(0.0, 2.0, size=(int(rng.integers(2, k + 2)), k))
+            sets.append(Polytope([RandVar(space, c) for c in cols]))
+        K = rng.uniform(-1.0, 1.0, size=(k, k))
+        return SaddleInstance(*sets, BilinearPayoff(space, K))
+
+    @pytest.mark.parametrize("generators", ["basis", "random"])
+    @pytest.mark.parametrize("k", [2, 3, 10, 30])
+    def test_bound_is_the_generator_gap(self, k, generators):
+        for seed in range(4):
+            inst = self._game(k, generators, seed)
+            space = inst.space
+            U = np.column_stack([v.values for v in inst.C.generators])
+            W = np.column_stack([v.values for v in inst.D.generators])
+            M = U.T @ (space.probs[:, None] * inst.payoff.K) @ W
+            a, b = M.shape
+            u, w, u_avg, w_avg = saddle_mod._extragradient(
+                np.full(a, 1.0 / a), np.full(b, 1.0 / b),
+                lambda u, w: M @ w, lambda u, w: M.T @ u,
+                project_simplex, project_simplex,
+                0.9 / np.linalg.norm(M, 2), 64)
+            # the polished candidate (None when the polish fails), then
+            # the average
+            polished, averaged = list(saddle_mod._weight_candidates(
+                M, u, w, u_avg, w_avg))[:2]
+            assert averaged is not None
+            slack = 1e-15 * (1.0 + np.abs(M).max())
+            for uc, wc in filter(None, (polished, averaged)):
+                supinf, infsup = saddle_mod._pair_bounds(
+                    inst, RandVar(space, U @ uc), RandVar(space, W @ wc), 1e-6)
+                assert abs(supinf - (M.T @ uc).min()) <= slack
+                assert abs(infsup - (M @ wc).max()) <= slack
 
 
 class TestVerifySaddle:
@@ -344,8 +396,8 @@ class TestSolveDirectBudget:
     def test_best_effort_exit(self, monkeypatch):
         # one round of 2 iterations cannot close the gap of the strict box
         # game: the best pair rides along in the NonConvergent certificate
-        monkeypatch.setattr(saddle_mod, "DIRECT_MAX_ROUNDS", 1)
-        monkeypatch.setattr(saddle_mod, "DIRECT_START_ITERS", 2)
+        monkeypatch.setattr(saddle_mod, "MAX_ROUNDS", 1)
+        monkeypatch.setattr(saddle_mod, "START_ITERS", 2)
         box = Box(rv([0.0, 0.0]), rv([2.0, 2.0]))
         inst = SaddleInstance(box, box, BilinearPayoff(
             U2, [[1.0, -0.5], [0.3, 0.8]], f_term="-x^2", g_term="x^2"))
