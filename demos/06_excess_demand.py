@@ -44,13 +44,15 @@ x, _ = solve_excess_demand(ExcessDemandInstance.from_economy(solo), tol=1e-8)
 print("\nsingle agent, shares (1/3, 2/3): prices", np.round(x.values, 8))
 
 # walras_check tests the identity at a point; for economies it holds
-# everywhere, which check_hypotheses spot-verifies along with convexity of
-# the slices
+# everywhere, which check_hypotheses proves from the exponent sums, with a
+# bound on what their rounding leaves, and draws no sample
 print("hypotheses:", check_hypotheses(ExcessDemandInstance.from_economy(solo)))
 
 # instances can also be table-backed: a d x d matrix of corner values,
-# interpolated bilinearly. Only conservative tables (antisymmetric) satisfy
-# the interpolated budget identity -- others are refused up front.
+# interpolated bilinearly. A table with every T_ij + T_ji <= 0 (an
+# antisymmetric one, say) satisfies the interpolated budget inequality, which
+# check_hypotheses proves by that sign test; any other table is searched at
+# sampled points and refused up front where one violates it.
 spin = ExcessDemandInstance.from_table([[0.0, 1.0], [-1.0, 0.0]])
 x, report = solve_excess_demand(spin, tol=1e-8)
 print("\nantisymmetric table clears at corner:", np.round(x.values, 6))

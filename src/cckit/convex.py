@@ -129,6 +129,10 @@ class Polytope(ConvexSetRep):
         self._root_p = np.sqrt(space.probs)
         self._cols = np.stack([g.values for g in generators], axis=1)
         self._A = self._cols * self._root_p[:, None]
+        limit = math.sqrt(np.finfo(float).max / (4.0 * space.n))  # the program squares
+        if float(self._cols.max()) > limit:
+            raise InputError("generator values overflow the weight program: 4 n v^2 "
+                             f"is not finite unless every value is at most {limit:.4g}")
         # generator columns by their bytes (+ 0.0 turns -0.0 into 0.0), so
         # a generator is found without comparing it to every column
         self._generator_keys = {(col + 0.0).tobytes() for col in self._cols.T}

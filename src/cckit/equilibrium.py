@@ -6,15 +6,16 @@ aggregator
 
     F(x, y) = E[Delta(x) * y]        (uniform weight 1/d per good)
 
-is affine in y and satisfies Walras's law F(y, y) = 0 exactly, because
-each agent spends exactly its budget. On the eta-truncated price
+is affine in y and satisfies Walras's law F(y, y) = 0, because each
+agent spends exactly its budget; ``check_hypotheses`` decides the
+inequality F(y, y) <= 0 for tables too. On the eta-truncated price
 simplex C (corners v_j = eta*1 + (1 - d*eta)*e_j) this yields a
 covering family
 
     F_j = { x in C : F(x, v_j) <= 0 },
 
 covering because any x = sum_j a_j v_j gives
-sum_j a_j F(x, v_j) = F(x, x) = 0, so some carrier term is <= 0 — on
+sum_j a_j F(x, v_j) = F(x, x) <= 0, so some carrier term is <= 0 — on
 every face, which is precisely the covering property the simplicial
 walk consumes. A located cell pins the equilibrium region, and its
 barycenter seeds Newton's method on F(x, v_j) = 0 for j < d-1 with
@@ -51,6 +52,11 @@ __all__ = [
 ]
 
 _SPOT_SEED = 20240905
+
+#: points searched for a Walras violation where no sign test decides
+WALRAS_SAMPLES = 50
+
+_EPS = float(np.finfo(float).eps)
 
 #: default simplex truncation
 DEFAULT_ETA = 1e-6
@@ -148,6 +154,14 @@ class ExcessDemandInstance:
             raise InputError("exactly one of economy/table must be given")
         if self.table is not None and self.table.shape != (d, d):
             raise InputError("corner table must be d-by-d")
+        with np.errstate(over="ignore", divide="ignore"):  # the Jacobian's largest term
+            if economy is not None:
+                scale, what = np.sum(economy.endowments) / eta**2, "sum(e)/eta^2"
+            else:
+                scale, what = d * d * np.abs(self.table).max(), "d^2 max|T|"
+        if not np.isfinite(scale):
+            raise InputError(f"instance scale overflows: {what} must stay below "
+                             f"{np.finfo(float).max:.4g}")
         self.space = ProbSpace.uniform(d)
         corners = np.full((d, d), eta) + (1.0 - d * eta) * np.eye(d)
         self.vertices = [RandVar(self.space, corners[j]) for j in range(d)]
@@ -179,14 +193,6 @@ class ExcessDemandInstance:
     def violations(self, x: RandVar) -> np.ndarray:
         return np.array([self.F(x, v) for v in self.vertices])
 
-    def to_json(self) -> dict:
-        out = {"eta": self.eta}
-        if self.economy is not None:
-            out["economy"] = self.economy.to_json()
-        else:
-            out["table"] = [[float(v) for v in row] for row in self.table]
-        return out
-
 
 def walras_check(inst: ExcessDemandInstance, y: RandVar,
                  tol: float = 1e-9) -> bool:
@@ -198,7 +204,10 @@ class _AggregatorSublevelOracle(ConvexSetRep):
     """Membership oracle for F_j = {x : F(x, v_j) <= 0}; the covering walk
     needs membership only, so no projection is offered (for d >= 3 these
     sets need not even be convex — the walk still lands correctly because
-    the covering property holds on every face, which is all it consumes)."""
+    the covering property holds on every face, which is all it consumes).
+    An economy's F(x, v_j) is also admitted up to its own float rounding,
+    2 (d + m) eps sum_k p_k (demand_k + S_k) v_jk for m agents and supply
+    S: from endowments of about 1e8 on, that exceeds an absolute tol."""
 
     kind = "aggregator-sublevel"
 
@@ -208,61 +217,51 @@ class _AggregatorSublevelOracle(ConvexSetRep):
         self.space = inst.space
 
     def _contains(self, f: RandVar, tol: float) -> bool:
-        return self.inst.F(f, self.inst.vertices[self.j]) <= tol
+        inst, v = self.inst, self.inst.vertices[self.j]
+        if inst.economy is None:
+            return inst.F(f, v) <= tol
+        delta = excess_demand(inst.economy, f)
+        value = float(np.dot(self.space.probs, delta * v.values))  # F(f, v), as F
+        if value <= tol:
+            return True
+        s = inst.economy.endowments.sum(axis=0)
+        return value <= 2 * (inst.d + inst.economy.agents) * _EPS * float(
+            np.dot(self.space.probs, (np.abs(delta + s) + s) * v.values))
 
 
-def check_hypotheses(inst: ExcessDemandInstance, samples: int = 50,
-                     seed: int | None = None) -> dict:
-    """Sampled evidence for the covering hypotheses: Walras's inequality
-    F(y, y) <= 0 at random points, and midpoint convexity of the slices
-    {x : F(x, v_j) <= 0}. Returns verdicts with witnesses, raising nothing."""
-    rng = np.random.default_rng(_SPOT_SEED if seed is None else seed)
-    report = {"walras": "pass", "convex_slices": "pass", "witness": None,
-              "samples": samples}
-
-    def sample_point():
+def check_hypotheses(inst: ExcessDemandInstance) -> dict:
+    """Walras's inequality F(y, y) <= 0 on the price simplex, decided from
+    the instance where a proof is at hand; raises nothing. An economy is
+    ``proved`` with b >= (1/d) sum_i (e_i.y)(s_i - 1) = F(y, y), s_i agent
+    i's exponent sum: b = (1/d) (max_i max(s_i - 1, 0) + d eps) sum_i max_g e_ig,
+    where d eps covers the rounding of s_i. A table with every T_ij + T_ji <= 0
+    is ``proved`` with bound 0.0 (a float sum keeps the sign of the exact
+    one); any other is ``sampled`` at WALRAS_SAMPLES seeded points, or
+    ``refuted`` with a witness where F(y, y) > 1e-9."""
+    if inst.economy is not None:
+        econ = inst.economy  # each s_i - 1 below is exact (Sterbenz)
+        excess = max(float((econ.exponents.sum(axis=1) - 1.0).max()), 0.0)
+        bound = (excess + inst.d * _EPS) * float(econ.endowments.max(axis=1).sum())
+        return {"walras": "proved", "bound": bound / inst.d}
+    if np.all(inst.table + inst.table.T <= 0.0):
+        return {"walras": "proved", "bound": 0.0}
+    rng = np.random.default_rng(_SPOT_SEED)
+    for _ in range(WALRAS_SAMPLES):
         a = rng.dirichlet(np.ones(inst.d))
-        vals = sum(ai * v.values for ai, v in zip(a, inst.vertices))
-        return RandVar(inst.space, vals)
-
-    for _ in range(samples):
-        y = sample_point()
+        y = RandVar(inst.space, sum(ai * v.values for ai, v in zip(a, inst.vertices)))
         val = inst.F(y, y)
         if val > 1e-9:
-            report["walras"] = "fail"
-            report["witness"] = {
-                "check": "walras",
-                "point": [float(v) for v in y.values],
-                "value": val,
-            }
-            return report
-
-    for _ in range(samples):
-        j = int(rng.integers(inst.d))
-        x1, x2 = sample_point(), sample_point()
-        v = inst.vertices[j]
-        f1, f2 = inst.F(x1, v), inst.F(x2, v)
-        if f1 <= 0.0 and f2 <= 0.0:
-            mid = RandVar(inst.space, 0.5 * (x1.values + x2.values))
-            fm = inst.F(mid, v)
-            if fm > 1e-9 * (1.0 + abs(f1) + abs(f2)):
-                report["convex_slices"] = "fail"
-                report["witness"] = {
-                    "check": "convex_slices", "j": j,
-                    "x1": [float(t) for t in x1.values],
-                    "x2": [float(t) for t in x2.values],
-                    "midpoint_value": fm,
-                }
-                return report
-    return report
+            return {"walras": "refuted",
+                    "witness": {"point": [float(t) for t in y.values],
+                                "value": val}}
+    return {"walras": "sampled", "samples": WALRAS_SAMPLES}
 
 
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
 
-def solve_excess_demand(inst: ExcessDemandInstance, tol: float = 1e-6,
-                        check: bool = True):
+def solve_excess_demand(inst: ExcessDemandInstance, tol: float = 1e-6):
     """A price point x0 with max_j F(x0, v_j) <= tol, plus a report.
 
     Route: simplicial covering walk at doubling resolution locates a
@@ -271,19 +270,14 @@ def solve_excess_demand(inst: ExcessDemandInstance, tol: float = 1e-6,
     on the net violation m(x) = max_j F(x, v_j), which Walras's law keeps
     nonnegative with zeros exactly at equilibria. The reported violation
     is re-measured from scratch at the returned point, and
-    ``polish_iterations`` counts Newton and descent steps together.
+    ``polish_iterations`` counts Newton and descent steps together. A
+    ``check_hypotheses`` verdict of ``refuted`` is an ``InputError``.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tol must be positive and finite")
-    if check:
-        verdicts = check_hypotheses(inst)
-        if verdicts["walras"] == "fail":
-            raise InputError(
-                f"Walras hypothesis failed at a sampled point: "
-                f"{verdicts['witness']}"
-            )
-    else:
-        verdicts = {"walras": "skipped", "convex_slices": "skipped"}
+    verdicts = check_hypotheses(inst)
+    if verdicts["walras"] == "refuted":
+        raise InputError(f"Walras hypothesis refuted: {verdicts['witness']}")
 
     if inst.d == 1:
         x0 = inst.vertices[0]

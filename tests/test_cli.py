@@ -311,13 +311,21 @@ class TestEnvelopesAndExitCodes:
          1e308, "is not finite"),
         ("saddle", "saddle_pennies", ("payoff", "kernel", 0, 0), 1e308,
          "is not finite"),
+        # finite but huge: refused where the arithmetic would overflow
+        ("equilibrium", "econ_asymmetric", ("agents", 0, "endowment", 0), 1e308,
+         "instance scale overflows: sum(e)/eta^2 must stay below"),
+        ("equilibrium", "table_antisym", ("table", 0, 1), 1e308,
+         "instance scale overflows: d^2 max|T| must stay below"),
+        ("extract", "seq_alternating", ("terms", 0, 0), 1e308,
+         "generator values overflow the weight program"),
     ], ids=["kernel-ragged", "kernel-vector", "f-term-int", "g-term-list",
             "horizon-string", "horizon-numeric-string", "horizon-bool",
             "horizon-fraction", "horizon-zero", "eta-string", "eta-list",
             "eta-bool", "probs-null", "probs-number", "atoms-string",
             "table-null", "table-entry-string", "table-row-object",
             "goods-null", "goods-string", "endowment-null", "expr-null",
-            "overflowing-generator", "overflowing-kernel"])
+            "overflowing-generator", "overflowing-kernel",
+            "overflowing-endowment", "overflowing-table", "overflowing-term"])
     def test_malformed_number_or_payoff_is_an_input_error(
             self, capsys, tmp_path, command, name, field, value, names):
         obj = json.loads((FIXTURES / f"{name}.json").read_text())
@@ -369,7 +377,9 @@ class TestMutationFuzz:
     never with an exception. A field is an object member or one of the
     first three items of a list; a mutant deletes it or replaces its value
     by one of MUTATIONS, 2,210 mutants over the 8 fixtures. Each field runs
-    PER_FIELD of its mutants, drawn by seed."""
+    PER_FIELD of its mutants, drawn by seed. A numpy overflow fails the
+    mutant too: a scale the arithmetic cannot represent is refused up
+    front."""
 
     DELETE = object()
     MUTATIONS = (DELETE, None, True, "x", 0, -1.0, 1e308, [], {}, [[0.0], [0.0, 1.0]])
@@ -401,6 +411,7 @@ class TestMutationFuzz:
             target[key] = value
         return out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(FIXTURE_COMMANDS))
     def test_mutants_end_in_an_envelope(self, capsys, tmp_path, name):
         obj = json.loads((FIXTURES / f"{name}.json").read_text())

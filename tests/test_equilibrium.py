@@ -124,17 +124,48 @@ class TestChecks:
     def test_hypotheses_pass_on_economy(self):
         inst = ExcessDemandInstance.from_economy(SYMMETRIC)
         rep = check_hypotheses(inst)
-        assert rep["walras"] == "pass"
-        assert rep["convex_slices"] == "pass"
-        assert rep["witness"] is None
+        assert rep == {"walras": "proved", "bound": 2 * np.finfo(float).eps}
 
     def test_walras_violating_table_is_caught(self):
         bad = ExcessDemandInstance.from_table([[0.5, 1.0], [1.0, 0.2]])
         rep = check_hypotheses(bad)
-        assert rep["walras"] == "fail"
-        assert rep["witness"] is not None
-        x = at_weights(bad, np.asarray(rep["witness"]["point"]))
+        assert rep["walras"] == "refuted"
+        x = RandVar(bad.space, np.asarray(rep["witness"]["point"]))
+        assert bad.F(x, x) == rep["witness"]["value"] > 0.0
         assert not walras_check(bad, x)
+        with pytest.raises(InputError, match="Walras hypothesis refuted"):
+            solve_excess_demand(bad, tol=1e-6)
+
+    def test_decided_instances_evaluate_no_F(self, monkeypatch):
+        calls = []
+        F = ExcessDemandInstance.F
+        monkeypatch.setattr(ExcessDemandInstance, "F",
+                            lambda inst, x, y: calls.append(1) or F(inst, x, y))
+        a = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 3))
+        for inst in (ExcessDemandInstance.from_economy(SYMMETRIC),
+                     ExcessDemandInstance.from_table(a - a.T),
+                     ExcessDemandInstance.from_table([[-1.0, 0.5], [-2.0, 0.0]])):
+            assert check_hypotheses(inst)["walras"] == "proved"
+        assert calls == []
+        # T + T^T has a positive entry: no sign test decides, so it samples
+        negative = ExcessDemandInstance.from_table([[-1.0, 1.0], [-0.5, -1.0]])
+        assert check_hypotheses(negative) == {"walras": "sampled", "samples": 50}
+        assert len(calls) == 50
+
+    def test_economy_bound_covers_walras_slack(self):
+        # exponent sums off 1 by up to the constructor's 1e-12: F(y, y) > 0
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            shares = rng.uniform(0.2, 1.0, size=(3, 4))
+            shares /= shares.sum(axis=1, keepdims=True)
+            shares[:, 0] += rng.uniform(0.0, 1e-12, size=3)
+            econ = CobbDouglasEconomy(rng.uniform(0.5, 2.0, size=(3, 4)), shares)
+            inst = ExcessDemandInstance.from_economy(econ)
+            rep = check_hypotheses(inst)
+            assert rep["walras"] == "proved"
+            worst = max(inst.F(y, y) for y in (at_weights(inst, rng.dirichlet(np.ones(4)))
+                                               for _ in range(50)))
+            assert 0.0 < worst <= rep["bound"] <= 1e-11
 
 
 class TestSolve:
@@ -143,7 +174,7 @@ class TestSolve:
         x, report = solve_excess_demand(inst, tol=1e-6)
         assert np.allclose(x.values, [0.5, 0.5], atol=1e-4)
         assert report["max_violation"] <= 1e-6
-        assert report["hypothesis_checks"]["walras"] == "pass"
+        assert report["hypothesis_checks"]["walras"] == "proved"
 
     def test_asymmetric_single_agent(self):
         inst = ExcessDemandInstance.from_economy(ASYMMETRIC)
@@ -169,6 +200,32 @@ class TestSolve:
         bad = ExcessDemandInstance.from_table([[0.5, 1.0], [1.0, 0.2]])
         with pytest.raises(InputError):
             solve_excess_demand(bad, tol=1e-6)
+
+    @pytest.mark.parametrize("inst", [
+        ExcessDemandInstance.from_economy(CobbDouglasEconomy([[2.0]], [[1.0]])),
+        ExcessDemandInstance.from_table([[0.0]]),
+    ], ids=["economy", "table"])
+    def test_single_good_clears_at_its_corner(self, inst):
+        x, report = solve_excess_demand(inst, tol=1e-6)
+        assert x.values.tolist() == [1.0]
+        assert (report["q"], report["rounds"], report["max_violation"]) == (1, 0, 0.0)
+
+    def test_single_good_that_cannot_clear(self):
+        # F(v_0, v_0) = 1e-10 passes the sampled Walras search but not tol
+        with pytest.raises(NonConvergent, match="single-good market cannot clear"):
+            solve_excess_demand(ExcessDemandInstance.from_table([[1e-10]]), tol=1e-12)
+
+    def test_refinement_then_stall(self, monkeypatch):
+        # no cell polishes to 1e-300, so the walk refines once and stops
+        qs = []
+        locate = equilibrium.locate_complete_cell
+        monkeypatch.setattr(equilibrium, "MAX_Q", 64)
+        monkeypatch.setattr(equilibrium, "locate_complete_cell",
+                            lambda inst, q, steps: qs.append(q) or locate(inst, q, steps))
+        inst = ExcessDemandInstance.from_economy(three_good_economies(1, 1)[0])
+        with pytest.raises(NonConvergent, match=r"> tol 1e-300 \(resolution 64"):
+            solve_excess_demand(inst, tol=1e-300)
+        assert qs == [32, 64]
 
     def test_report_shape(self):
         inst = ExcessDemandInstance.from_economy(SYMMETRIC)
@@ -240,6 +297,17 @@ class TestNewtonPolish:
             assert np.abs(x.values - target).max() <= 1e-14
             assert report["rounds"] == 1
             assert report["max_violation"] <= 1e-15
+
+    def test_prices_do_not_depend_on_the_endowment_scale(self):
+        # the labels admit F's own rounding, which outgrows an absolute tol
+        # once endowments reach about 1e8
+        for econ in three_good_economies(21, 10):
+            x, _ = solve_excess_demand(ExcessDemandInstance.from_economy(econ), tol=1e-6)
+            for scale in (1e4, 1e8, 1e9):
+                scaled = CobbDouglasEconomy(econ.endowments * scale, econ.exponents)
+                y, _ = solve_excess_demand(ExcessDemandInstance.from_economy(scaled),
+                                           tol=1e-6)
+                assert np.abs(y.values - x.values).max() <= 1e-12
 
     def test_boundary_equilibrium_falls_back_to_descent(self):
         # the table clears only at a corner, where Newton's solution of the
